@@ -51,20 +51,24 @@ if [[ "${GRIST_SKIP_SIMD:-0}" == "1" ]]; then
   echo "== skipping per-tier SIMD pass (GRIST_SKIP_SIMD=1) =="
 else
   # The SIMD dispatch contract: every tier the build carries must pass the
-  # backend parity suite and the dycore suites (which route through the
-  # dispatch table by default) bit-identically. GRIST_SIMD_TIER clamps the
-  # active tier down, so forcing "scalar" pins the portable tier and the
-  # unset run exercises the best tier cpuid grants on this machine.
-  echo "== SIMD dispatch pass: backend + dycore suites per tier =="
-  for tier in scalar ""; do
+  # backend parity suite, the dycore suites (which route through the
+  # dispatch table by default; the step sweeps follow the same tier) and
+  # the core suite (the Dycore step's overlapped band schedule,
+  # ParallelRanks.*) bit-identically.
+  # GRIST_SIMD_TIER clamps the active tier down, so forcing "scalar" pins
+  # the portable tier and the unset run exercises the best tier cpuid
+  # grants on this machine; the "host" leg sets GRIST_SIMD=0, which turns
+  # the routing off and runs the HostBackend instantiations.
+  echo "== SIMD dispatch pass: backend + dycore + core suites per tier =="
+  for tier in scalar "" host; do
     label="${tier:-best-available}"
-    for bin in test_backend test_dycore test_fused_kernels; do
+    for bin in test_backend test_dycore test_fused_kernels test_core; do
       echo "-- $bin (tier: $label)"
-      if [[ -n "$tier" ]]; then
-        GRIST_SIMD_TIER="$tier" ./build/tests/"$bin" >/dev/null
-      else
-        ./build/tests/"$bin" >/dev/null
-      fi
+      case "$tier" in
+        host) GRIST_SIMD=0 ./build/tests/"$bin" >/dev/null ;;
+        "") ./build/tests/"$bin" >/dev/null ;;
+        *) GRIST_SIMD_TIER="$tier" ./build/tests/"$bin" >/dev/null ;;
+      esac
     done
   done
   if [[ "${GRIST_SIMD_BENCH:-0}" == "1" ]]; then

@@ -5,9 +5,9 @@
 //   - mesh + TRSK weights (borrowed, like Model),
 //   - the trained Q1Q2Net/RadMlp via shared_ptr -- including their quant
 //     caches, so bf16/int8 weight packing happens once for all members,
-//   - one EnsembleDycore: a single set of transient dycore scratch fields
+//   - one M-member Dycore: a single set of transient dycore scratch fields
 //     reused across members, with the vertical implicit solve batched
-//     member-per-SIMD-lane (see dycore/ensemble_dycore.hpp),
+//     member-per-SIMD-lane (see dycore/dycore.hpp),
 //   - under the ML scheme, one fused MlPhysicsSuite over M*ncells columns:
 //     every physics step concatenates all members' columns into one
 //     PhysicsInput, so the Q1Q2/RadMlp GEMM batches (fp32 and quantized)
@@ -29,7 +29,7 @@
 #include <vector>
 
 #include "grist/core/model.hpp"
-#include "grist/dycore/ensemble_dycore.hpp"
+#include "grist/dycore/dycore.hpp"
 
 namespace grist::core {
 
@@ -97,7 +97,7 @@ class EnsembleRunner {
 
   const grid::HexMesh& mesh_;
   EnsembleConfig config_;
-  dycore::EnsembleDycore edy_;
+  dycore::Dycore edy_;
   coupler::Coupler coupler_;
   std::vector<dycore::State> states_;
   std::vector<dycore::State*> state_ptrs_;

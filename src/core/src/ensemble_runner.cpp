@@ -137,13 +137,7 @@ void EnsembleRunner::tracerStep() {
   for (int m = 0; m < config_.members; ++m) {
     const std::size_t mi = static_cast<std::size_t>(m);
     dycore::State& state = states_[mi];
-    // Member's window-mean mass flux into the preallocated scratch (solo
-    // Model divides a copy; same values, no allocation here).
-    const parallel::Field& acc = edy_.accumulatedMassFlux(m);
-    std::copy(acc.data(), acc.data() + acc.size(), mean_flux_scratch_.data());
-    for (std::size_t i = 0; i < mean_flux_scratch_.size(); ++i) {
-      mean_flux_scratch_.data()[i] /= static_cast<double>(nsub);
-    }
+    edy_.meanMassFlux(m, mean_flux_scratch_.data());
     dycore::TracerTransportArgs args;
     args.mesh = &mesh_;
     args.ncells_prog = mesh_.ncells;

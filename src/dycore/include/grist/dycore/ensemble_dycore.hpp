@@ -1,81 +1,11 @@
-// Batched dycore stepping for ensembles: advance M members' States through
-// the SAME Wicker-Skamarock RK3 + implicit-column step as Dycore::stepImpl,
-// sharing what a solo Dycore cannot: one set of transient scratch fields is
-// reused across members (only the tracer mass-flux accumulator and the
-// solver pressure are per-member), the tendency compute_rrr calls skip
-// their dead Exner/pi_mid outputs, the RK save/update sweeps run through
-// the k-vectorized ensemble kernels, and the vertical implicit solve is
-// batched with the member index as the SIMD lane.
-//
-// The contract mirrors the rest of the repo's restructurings: every member
-// stepped here is BITWISE identical to the same State stepped by a solo
-// Dycore (ctest label ENSEMBLE), in both NS precisions, so ensemble runs
-// inherit all existing parity machinery unchanged.
+// Former name of the M-member Dycore (dycore.hpp), kept for code that still
+// includes this header.
 #pragma once
 
-#include <vector>
-
-#include "grist/dycore/config.hpp"
-#include "grist/dycore/state.hpp"
-#include "grist/grid/hex_mesh.hpp"
-#include "grist/grid/trsk.hpp"
-#include "grist/parallel/field.hpp"
+#include "grist/dycore/dycore.hpp"
 
 namespace grist::dycore {
 
-class EnsembleDycore {
- public:
-  /// Shared mesh/TRSK are borrowed (caller keeps them alive); scratch is
-  /// allocated once here, so warm steps are heap-free.
-  EnsembleDycore(const grid::HexMesh& mesh, const grid::TrskWeights& trsk,
-                 DycoreConfig config, int nmembers);
-
-  /// Advance every member one dt. `states` holds `members()` pointers;
-  /// members are stepped in index order through shared scratch, then the
-  /// vertical implicit solve runs member-batched.
-  void step(State* const* states);
-  void step(std::vector<State>& states);
-
-  int members() const { return nmembers_; }
-  const DycoreConfig& config() const { return config_; }
-
-  /// Tracer-transport coupling, per member (same semantics as Dycore's
-  /// accumulator; members advance in lockstep so one step count serves all).
-  const parallel::Field& accumulatedMassFlux(int m) const {
-    return acc_flux_[static_cast<std::size_t>(m)];
-  }
-  int accumulatedSteps() const { return acc_steps_; }
-  void resetAccumulatedFlux();
-
- private:
-  template <typename NS>
-  void stepImpl(State* const* states);
-  template <typename NS>
-  void computeTendencies(const State& state);
-
-  const grid::HexMesh& mesh_;
-  const grid::TrskWeights& trsk_;
-  DycoreConfig config_;
-  int nmembers_ = 0;
-
-  // Transient scratch, shared across members (each member's iteration fully
-  // rewrites what it reads). Exner/pi_mid are absent by design: the step
-  // never reads them (see ensemble_kernels.hpp).
-  parallel::Field div_flux_, ke_, alpha_, p_, div_u_;
-  parallel::Field thetam_tend_, delp_tend_, delp0_, thetam0_;
-  parallel::Field flux_, uflux_, u_tend_, u0_;
-  parallel::Field vor_, qv_;
-
-  // Per-member persistent fields: the mass-flux accumulator and the
-  // pre-solver pressure feeding the member-batched implicit solve.
-  std::vector<parallel::Field> acc_flux_;
-  std::vector<parallel::Field> p_solve_;
-  int acc_steps_ = 0;
-
-  // Per-member pointer tables for the lane-batched solver (filled once).
-  std::vector<const double*> solve_p_;
-  std::vector<double*> solve_w_, solve_phi_;
-  std::vector<const double*> solve_delp_, solve_theta_;
-};
+using EnsembleDycore = Dycore;
 
 } // namespace grist::dycore

@@ -184,20 +184,6 @@ void computeRrr(Index ncells, int nlev, double ptop, const double* delp,
   }
 }
 
-/// Band variant: same per-column arithmetic, restricted to the cell indices
-/// in `cells` (the boundary or interior band of a decomposed rank). Columns
-/// are independent, so splitting the sweep is bit-exact.
-template <precision::NsReal NS>
-void computeRrrBand(const Index* cells, Index nband, int nlev, double ptop,
-                    const double* delp, const double* theta, const double* phi,
-                    double* alpha, double* p, double* exner, double* pi_mid) {
-#pragma omp parallel for schedule(static)
-  for (Index i = 0; i < nband; ++i) {
-    computeRrrColumn<NS>(cells[i], nlev, ptop, delp, theta, phi, alpha, p,
-                         exner, pi_mid);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // calc_pressure_gradient (SENSITIVE -- double only):
 //   tend_u(e) -= [ (phm(c2)-phm(c1)) + alpha_e ((p-pi)(c2)-(p-pi)(c1)) ] / de
@@ -266,13 +252,6 @@ void del2Scalar(const HexMesh& m, Index ncells, int nlev, const double* scalar,
 void vertImplicitSolver(Index ncells, int nlev, double dt, double ptop,
                         const double* delp, const double* theta, const double* p,
                         double* w, double* phi, double w_damp_tau);
-
-/// Band variant of the column solve, restricted to the cell indices in
-/// `cells`. Columns are independent, so splitting the sweep is bit-exact.
-void vertImplicitSolverBand(const Index* cells, Index nband, int nlev,
-                            double dt, double ptop, const double* delp,
-                            const double* theta, const double* p, double* w,
-                            double* phi, double w_damp_tau);
 
 // ===========================================================================
 // Fused single-sweep kernels. The dycore tendency step is memory-bandwidth

@@ -7,11 +7,13 @@
 #include "grist/backend/simd.hpp"
 #include "grist/common/timer.hpp"
 #include "grist/common/workspace.hpp"
+#include "grist/dycore/ensemble_kernels.hpp"
 #include "grist/dycore/kernels.hpp"
 
 namespace grist::dycore {
 
 using parallel::Field;
+namespace ek = ensemble_kernels;
 
 namespace {
 
@@ -22,14 +24,20 @@ Bounds fullBounds(const grid::HexMesh& mesh) {
 } // namespace
 
 Dycore::Dycore(const grid::HexMesh& mesh, const grid::TrskWeights& trsk,
-               DycoreConfig config)
-    : Dycore(mesh, trsk, config, fullBounds(mesh)) {}
+               DycoreConfig config, int nmembers)
+    : Dycore(mesh, trsk, config, fullBounds(mesh), nmembers) {}
 
 Dycore::Dycore(const grid::HexMesh& mesh, const grid::TrskWeights& trsk,
                DycoreConfig config, Bounds bounds)
-    : mesh_(mesh), trsk_(trsk), config_(config), bounds_(bounds) {
+    : Dycore(mesh, trsk, config, bounds, 1) {}
+
+Dycore::Dycore(const grid::HexMesh& mesh, const grid::TrskWeights& trsk,
+               DycoreConfig config, Bounds bounds, int nmembers)
+    : mesh_(mesh), trsk_(trsk), config_(config), bounds_(bounds),
+      nmembers_(nmembers) {
   if (config_.nlev < 2) throw std::invalid_argument("Dycore: nlev < 2");
   if (config_.dt <= 0) throw std::invalid_argument("Dycore: dt <= 0");
+  if (nmembers_ < 1) throw std::invalid_argument("Dycore: nmembers < 1");
   const int nlev = config_.nlev;
 
   // Scratch fields, grouped BY MESH ENTITY. Keep additions inside the
@@ -41,8 +49,6 @@ Dycore::Dycore(const grid::HexMesh& mesh, const grid::TrskWeights& trsk,
   ke_ = Field(mesh.ncells, nlev);
   alpha_ = Field(mesh.ncells, nlev);
   p_ = Field(mesh.ncells, nlev);
-  exner_ = Field(mesh.ncells, nlev);
-  pi_mid_ = Field(mesh.ncells, nlev);
   div_u_ = Field(mesh.ncells, nlev);
   thetam_tend_ = Field(mesh.ncells, nlev);
   delp_tend_ = Field(mesh.ncells, nlev);
@@ -53,10 +59,22 @@ Dycore::Dycore(const grid::HexMesh& mesh, const grid::TrskWeights& trsk,
   uflux_ = Field(mesh.nedges, nlev);
   u_tend_ = Field(mesh.nedges, nlev);
   u0_ = Field(mesh.nedges, nlev);
-  acc_flux_ = Field(mesh.nedges, nlev);
   // -- vertex fields (nvertices x nlev) --
   vor_ = Field(mesh.nvertices, nlev);
   qv_ = Field(mesh.nvertices, nlev);
+  // -- per-member fields --
+  const std::size_t mm = static_cast<std::size_t>(nmembers_);
+  acc_flux_.reserve(mm);
+  p_solve_.reserve(mm);
+  for (int m = 0; m < nmembers_; ++m) {
+    acc_flux_.emplace_back(mesh.nedges, nlev);
+    p_solve_.emplace_back(mesh.ncells, nlev);
+  }
+  solve_p_.resize(mm);
+  solve_w_.resize(mm);
+  solve_phi_.resize(mm);
+  solve_delp_.resize(mm);
+  solve_theta_.resize(mm);
 
   const auto expect = [nlev](const Field& f, Index nentity, const char* name) {
     if (f.entities() != nentity || f.components() != nlev) {
@@ -68,8 +86,6 @@ Dycore::Dycore(const grid::HexMesh& mesh, const grid::TrskWeights& trsk,
   expect(ke_, mesh.ncells, "ke");
   expect(alpha_, mesh.ncells, "alpha");
   expect(p_, mesh.ncells, "p");
-  expect(exner_, mesh.ncells, "exner");
-  expect(pi_mid_, mesh.ncells, "pi_mid");
   expect(div_u_, mesh.ncells, "div_u");
   expect(thetam_tend_, mesh.ncells, "thetam_tend");
   expect(delp_tend_, mesh.ncells, "delp_tend");
@@ -79,25 +95,43 @@ Dycore::Dycore(const grid::HexMesh& mesh, const grid::TrskWeights& trsk,
   expect(uflux_, mesh.nedges, "uflux");
   expect(u_tend_, mesh.nedges, "u_tend");
   expect(u0_, mesh.nedges, "u0");
-  expect(acc_flux_, mesh.nedges, "acc_flux");
   expect(vor_, mesh.nvertices, "vor");
   expect(qv_, mesh.nvertices, "qv");
+  for (int m = 0; m < nmembers_; ++m) {
+    expect(acc_flux_[static_cast<std::size_t>(m)], mesh.nedges, "acc_flux");
+    expect(p_solve_[static_cast<std::size_t>(m)], mesh.ncells, "p_solve");
+  }
+}
+
+void Dycore::requireSolo(const char* what) const {
+  if (nmembers_ != 1) {
+    throw std::logic_error(std::string("Dycore::") + what +
+                           ": requires members() == 1");
+  }
 }
 
 void Dycore::resetAccumulatedFlux() {
-  acc_flux_.fill(0.0);
+  for (Field& f : acc_flux_) f.fill(0.0);
   acc_steps_ = 0;
 }
 
+void Dycore::meanMassFlux(int m, double* out) const {
+  const Field& acc = accumulatedMassFlux(m);
+  const double nsub = static_cast<double>(acc_steps_);
+  for (std::size_t i = 0; i < acc.size(); ++i) out[i] = acc.data()[i] / nsub;
+}
+
 void Dycore::restoreAccumulatedFlux(const parallel::Field& flux, int steps) {
-  if (flux.entities() != acc_flux_.entities() ||
-      flux.components() != acc_flux_.components()) {
+  requireSolo("restoreAccumulatedFlux");
+  Field& acc = acc_flux_[0];
+  if (flux.entities() != acc.entities() ||
+      flux.components() != acc.components()) {
     throw std::invalid_argument("Dycore::restoreAccumulatedFlux: shape mismatch");
   }
   if (steps < 0) {
     throw std::invalid_argument("Dycore::restoreAccumulatedFlux: negative steps");
   }
-  std::copy(flux.data(), flux.data() + flux.size(), acc_flux_.data());
+  std::copy(flux.data(), flux.data() + flux.size(), acc.data());
   acc_steps_ = steps;
 }
 
@@ -129,26 +163,32 @@ void Dycore::setBands(Bands bands) {
 }
 
 void Dycore::step(State& state, const ExchangeFn& exchange) {
-  const ScopedTimer timer("dycore");
-  if (config_.ns == precision::NsMode::kDouble) {
-    stepImpl<double>(state, exchange, nullptr);
-  } else {
-    stepImpl<float>(state, exchange, nullptr);
-  }
+  requireSolo("step");
+  State* states[1] = {&state};
+  dispatch(states, exchange, nullptr);
 }
 
 void Dycore::step(State& state, const OverlapHooks& hooks) {
+  requireSolo("step(overlap)");
   if (!has_bands_) {
     throw std::logic_error("Dycore::step(overlap): setBands() first");
   }
   if (!hooks.post || !hooks.wait) {
     throw std::invalid_argument("Dycore::step(overlap): both hooks required");
   }
+  State* states[1] = {&state};
+  dispatch(states, {}, &hooks);
+}
+
+void Dycore::step(State* const* states) { dispatch(states, {}, nullptr); }
+
+void Dycore::dispatch(State* const* states, const ExchangeFn& exchange,
+                      const OverlapHooks* hooks) {
   const ScopedTimer timer("dycore");
   if (config_.ns == precision::NsMode::kDouble) {
-    stepImpl<double>(state, {}, &hooks);
+    stepImpl<double>(states, exchange, hooks);
   } else {
-    stepImpl<float>(state, {}, &hooks);
+    stepImpl<float>(states, exchange, hooks);
   }
 }
 
@@ -164,212 +204,144 @@ void Dycore::computeTendencies(const State& state) {
   namespace k = kernels;
   namespace simd = backend::simd;
 
+  // Thermodynamic diagnostics on the diagnostic cell band: compute_rrr's
+  // alpha and p only (its Exner/pi_mid outputs are dead in the step).
+  ek::rrrLite(bounds_.cells_diag, nlev, state.delp.data(), state.theta.data(),
+              state.phi.data(), alpha_.data(), p_.data(), config_.ns);
+
   // Runtime Host-vs-Simd routing: every SIMD tier is bitwise-identical to
   // the Host instantiation (tests/backend/test_simd.cpp), so the choice is
-  // purely about speed -- config_.use_simd pins the Host path for the
-  // benchmark baseline, GRIST_SIMD=0 disables routing process-wide, and
+  // purely about speed -- GRIST_SIMD=0 pins the Host path process-wide, and
   // the table itself picks the best tier cpuid allows.
-  if (config_.use_simd && simd::enabled()) {
-    const simd::KernelTable& tb = simd::table();
-    constexpr int si = simd::kNsIndex<NS>;
-    tb.compute_rrr[si](bounds_.cells_diag, nlev, config_.ptop,
-                       state.delp.data(), state.theta.data(), state.phi.data(),
-                       alpha_.data(), p_.data(), exner_.data(), pi_mid_.data());
-    tb.fused_edge_fluxes[si](mesh_, mesh_.nedges, nlev, state.delp.data(),
-                             state.u.data(), flux_.data(), uflux_.data());
-    tb.fused_cell_diagnostics[si](mesh_, bounds_.cells_diag, nlev,
-                                  flux_.data(), uflux_.data(), state.u.data(),
-                                  div_flux_.data(), div_u_.data(), ke_.data());
-    tb.fused_vertex_diagnostics[si](mesh_, bounds_.vertices_diag, nlev,
-                                    state.u.data(), state.delp.data(),
-                                    constants::kOmega, vor_.data(), qv_.data());
-    tb.fused_scalar_tendencies[si](
-        mesh_, bounds_.cells_prog, nlev, flux_.data(), state.theta.data(),
-        state.delp.data(), div_flux_.data(), config_.diff_coef / config_.dt,
-        delp_tend_.data(), thetam_tend_.data());
-    tb.fused_momentum_tendency[si](
-        mesh_, trsk_, bounds_.edges_prog, nlev, ke_.data(), qv_.data(),
-        flux_.data(), state.phi.data(), alpha_.data(), p_.data(),
-        div_u_.data(), vor_.data(), config_.div_damp / config_.dt,
-        config_.diff_coef / config_.dt, u_tend_.data());
-    return;
-  }
+  const bool use_table = simd::enabled();
+  const simd::KernelTable& tb = simd::table();
+  constexpr int si = simd::kNsIndex<NS>;
+  const auto edge_fluxes =
+      use_table ? tb.fused_edge_fluxes[si] : &k::fusedEdgeFluxes<NS>;
+  const auto cell_diagnostics =
+      use_table ? tb.fused_cell_diagnostics[si] : &k::fusedCellDiagnostics<NS>;
+  const auto vertex_diagnostics = use_table ? tb.fused_vertex_diagnostics[si]
+                                            : &k::fusedVertexDiagnostics<NS>;
+  const auto scalar_tendencies = use_table ? tb.fused_scalar_tendencies[si]
+                                           : &k::fusedScalarTendencies<NS>;
+  const auto momentum_tendency = use_table ? tb.fused_momentum_tendency[si]
+                                           : &k::fusedMomentumTendency<NS>;
 
-  // Thermodynamic diagnostics (compute_rrr) on the diagnostic cell band.
-  k::computeRrr<NS>(bounds_.cells_diag, nlev, config_.ptop, state.delp.data(),
-                    state.theta.data(), state.phi.data(), alpha_.data(), p_.data(),
-                    exner_.data(), pi_mid_.data());
-
-  // Fused edge sweep: mass flux + plain velocity flux from one pass over
-  // ALL local edges (both cells of a local edge are always local).
-  k::fusedEdgeFluxes<NS>(mesh_, mesh_.nedges, nlev, state.delp.data(),
-                         state.u.data(), flux_.data(), uflux_.data());
-
-  // Fused cell-neighbor sweep: div(flux), div(uflux), kinetic energy.
-  k::fusedCellDiagnostics<NS>(mesh_, bounds_.cells_diag, nlev, flux_.data(),
-                              uflux_.data(), state.u.data(), div_flux_.data(),
-                              div_u_.data(), ke_.data());
-
-  // Fused vertex sweep: vorticity + mass-weighted potential vorticity.
-  k::fusedVertexDiagnostics<NS>(mesh_, bounds_.vertices_diag, nlev,
-                                state.u.data(), state.delp.data(),
-                                constants::kOmega, vor_.data(), qv_.data());
-
-  // Fused cell-tendency sweep: delp_tend = -div(flux) and the mass-weighted
-  // theta tendency (advection + delp * nu * del2 diffusion).
-  k::fusedScalarTendencies<NS>(mesh_, bounds_.cells_prog, nlev, flux_.data(),
-                               state.theta.data(), state.delp.data(),
-                               div_flux_.data(), config_.diff_coef / config_.dt,
-                               delp_tend_.data(), thetam_tend_.data());
-
-  // Fused edge-tendency sweep: -grad(ke) + Coriolis + pressure gradient
-  // (hard-double inside) + del2 damping; u_tend_ written exactly once.
-  k::fusedMomentumTendency<NS>(mesh_, trsk_, bounds_.edges_prog, nlev,
-                               ke_.data(), qv_.data(), flux_.data(),
-                               state.phi.data(), alpha_.data(), p_.data(),
-                               div_u_.data(), vor_.data(),
-                               config_.div_damp / config_.dt,
-                               config_.diff_coef / config_.dt, u_tend_.data());
+  // Edge sweep: mass flux + plain velocity flux from one pass over ALL
+  // local edges (both cells of a local edge are always local).
+  edge_fluxes(mesh_, mesh_.nedges, nlev, state.delp.data(), state.u.data(),
+              flux_.data(), uflux_.data());
+  // Cell-neighbor sweep: div(flux), div(uflux), kinetic energy.
+  cell_diagnostics(mesh_, bounds_.cells_diag, nlev, flux_.data(),
+                   uflux_.data(), state.u.data(), div_flux_.data(),
+                   div_u_.data(), ke_.data());
+  // Vertex sweep: vorticity + mass-weighted potential vorticity.
+  vertex_diagnostics(mesh_, bounds_.vertices_diag, nlev, state.u.data(),
+                     state.delp.data(), constants::kOmega, vor_.data(),
+                     qv_.data());
+  // Cell-tendency sweep: delp_tend = -div(flux) and the mass-weighted theta
+  // tendency (advection + delp * nu * del2 diffusion).
+  scalar_tendencies(mesh_, bounds_.cells_prog, nlev, flux_.data(),
+                    state.theta.data(), state.delp.data(), div_flux_.data(),
+                    config_.diff_coef / config_.dt, delp_tend_.data(),
+                    thetam_tend_.data());
+  // Edge-tendency sweep: -grad(ke) + Coriolis + pressure gradient (hard
+  // double inside) + del2 damping; u_tend_ written exactly once.
+  momentum_tendency(mesh_, trsk_, bounds_.edges_prog, nlev, ke_.data(),
+                    qv_.data(), flux_.data(), state.phi.data(), alpha_.data(),
+                    p_.data(), div_u_.data(), vor_.data(),
+                    config_.div_damp / config_.dt,
+                    config_.diff_coef / config_.dt, u_tend_.data());
 }
 
 template <typename NS>
-void Dycore::stepImpl(State& state, const ExchangeFn& exchange,
+void Dycore::stepImpl(State* const* states, const ExchangeFn& exchange,
                       const OverlapHooks* hooks) {
   const int nlev = config_.nlev;
-
-  // Save step-start prognostics for the Runge-Kutta combinations.
-#pragma omp parallel for schedule(static)
-  for (Index c = 0; c < mesh_.ncells; ++c) {
-    for (int kk = 0; kk < nlev; ++kk) {
-      delp0_(c, kk) = state.delp(c, kk);
-      thetam0_(c, kk) = state.delp(c, kk) * state.theta(c, kk);
-    }
-  }
-#pragma omp parallel for schedule(static)
-  for (Index e = 0; e < mesh_.nedges; ++e) {
-    for (int kk = 0; kk < nlev; ++kk) u0_(e, kk) = state.u(e, kk);
-  }
-
-  // Prognostic update sweeps, callable either contiguously (cells ==
-  // nullptr: the lockstep schedule) or on a band list (the overlapped
-  // schedule). Per-entity arithmetic is identical either way, and entities
-  // are independent, so both schedules produce bitwise-identical states.
-  const auto updateCells = [&](const Index* cells, Index n, double dts) {
-#pragma omp parallel for schedule(static)
-    for (Index i = 0; i < n; ++i) {
-      const Index c = cells ? cells[i] : i;
-      for (int kk = 0; kk < nlev; ++kk) {
-        double new_delp = delp0_(c, kk) + dts * delp_tend_(c, kk);
-        const double new_thetam = thetam0_(c, kk) + dts * thetam_tend_(c, kk);
-        // Positivity backstop: a Lagrangian layer drained past 10% of its
-        // step-start mass is runaway divergence (the vertical remap
-        // restores such columns on its cadence); clamp the mass and carry
-        // theta through unchanged. Never triggers in healthy flow.
-        const double floor = 0.1 * delp0_(c, kk);
-        if (new_delp < floor) {
-          new_delp = floor;
-          state.delp(c, kk) = new_delp;
-          state.theta(c, kk) = thetam0_(c, kk) / delp0_(c, kk);
-          continue;
-        }
-        state.delp(c, kk) = new_delp;
-        state.theta(c, kk) = new_thetam / new_delp;
-      }
-    }
-  };
-  const auto updateEdges = [&](const Index* edges, Index n, double dts) {
-#pragma omp parallel for schedule(static)
-    for (Index i = 0; i < n; ++i) {
-      const Index e = edges ? edges[i] : i;
-      for (int kk = 0; kk < nlev; ++kk) {
-        state.u(e, kk) = u0_(e, kk) + dts * u_tend_(e, kk);
-      }
-    }
+  const auto band = [](const std::vector<Index>& list) {
+    return static_cast<Index>(list.size());
   };
 
+  // Phase 1, member-sequential over the shared scratch: the RK3 explicit
+  // update, the mass-flux accumulation and the pre-solver pressure into the
+  // member's p_solve_. (flux_ is live only within the member's iteration;
+  // accumulating before the solve is state-invisible because the implicit
+  // solve does not touch the mass flux.)
   // Wicker-Skamarock RK3: dt/3, dt/2, dt, each stage restarting from S^n.
   const double stage_dt[3] = {config_.dt / 3.0, config_.dt / 2.0, config_.dt};
-  for (int stage = 0; stage < 3; ++stage) {
-    computeTendencies<NS>(state);
-    const double dts = stage_dt[stage];
-    if (hooks) {
-      // Overlapped: boundary band first, post the halo messages, compute
-      // the interior while they are in flight, then consume the halos
-      // (the next stage's tendencies read them).
-      updateCells(bands_.boundary_cells.data(),
-                  static_cast<Index>(bands_.boundary_cells.size()), dts);
-      updateEdges(bands_.boundary_edges.data(),
-                  static_cast<Index>(bands_.boundary_edges.size()), dts);
-      hooks->post();
-      updateCells(bands_.interior_cells.data(),
-                  static_cast<Index>(bands_.interior_cells.size()), dts);
-      updateEdges(bands_.interior_edges.data(),
-                  static_cast<Index>(bands_.interior_edges.size()), dts);
-      hooks->wait();
-    } else {
-      updateCells(nullptr, bounds_.cells_prog, dts);
-      updateEdges(nullptr, bounds_.edges_prog, dts);
-      if (exchange) exchange(state);
+  for (int m = 0; m < nmembers_; ++m) {
+    State& state = *states[m];
+    ek::saveCellStart(mesh_.ncells, nlev, state.delp.data(),
+                      state.theta.data(), delp0_.data(), thetam0_.data());
+    ek::saveEdgeStart(mesh_.nedges, nlev, state.u.data(), u0_.data());
+
+    // Prognostic updates on a cell/edge list (nullptr = the contiguous
+    // prognostic range). Per-entity arithmetic is identical either way, and
+    // entities are independent, so both schedules are bitwise identical.
+    const auto update = [&](const Index* cells, Index nc, const Index* edges,
+                            Index ne, double dts) {
+      ek::updateCells(cells, nc, nlev, dts, delp0_.data(), thetam0_.data(),
+                      delp_tend_.data(), thetam_tend_.data(),
+                      state.delp.data(), state.theta.data());
+      ek::updateEdges(edges, ne, nlev, dts, u0_.data(), u_tend_.data(),
+                      state.u.data());
+    };
+    for (int stage = 0; stage < 3; ++stage) {
+      computeTendencies<NS>(state);
+      const double dts = stage_dt[stage];
+      if (hooks) {
+        // Overlapped: boundary band first, post the halo messages, compute
+        // the interior while they are in flight, then consume the halos
+        // (the next stage's tendencies read them).
+        update(bands_.boundary_cells.data(), band(bands_.boundary_cells),
+               bands_.boundary_edges.data(), band(bands_.boundary_edges), dts);
+        hooks->post();
+        update(bands_.interior_cells.data(), band(bands_.interior_cells),
+               bands_.interior_edges.data(), band(bands_.interior_edges), dts);
+        hooks->wait();
+      } else {
+        update(nullptr, bounds_.cells_prog, nullptr, bounds_.edges_prog, dts);
+        if (exchange) exchange(state);
+      }
     }
+    ek::accumulateFlux(mesh_.nedges, nlev, flux_.data(),
+                       acc_flux_[static_cast<std::size_t>(m)].data());
   }
 
-  // Vertically implicit acoustic adjustment of (w, phi); pressure is
-  // recomputed for the updated delp/theta in full double precision. The
-  // column solve reads no halos, so the overlapped schedule posts the
-  // boundary columns' results and solves the interior columns while the
-  // messages are in flight.
+  // Phase 2, member-batched: the vertically implicit acoustic adjustment of
+  // (w, phi) with members as SIMD lanes; pressure is recomputed for the
+  // updated delp/theta in full double precision.
+  for (int m = 0; m < nmembers_; ++m) {
+    const std::size_t mi = static_cast<std::size_t>(m);
+    State& state = *states[m];
+    solve_delp_[mi] = state.delp.data();
+    solve_theta_[mi] = state.theta.data();
+    solve_p_[mi] = p_solve_[mi].data();
+    solve_w_[mi] = state.w.data();
+    solve_phi_[mi] = state.phi.data();
+  }
+  const auto solve = [&](const Index* cells, Index nc) {
+    for (int m = 0; m < nmembers_; ++m) {
+      const State& state = *states[m];
+      ek::rrrPOnly(cells, nc, nlev, state.delp.data(), state.theta.data(),
+                   state.phi.data(), p_solve_[static_cast<std::size_t>(m)].data());
+    }
+    ek::vertSolveMemberLanes(nmembers_, cells, nc, nlev, config_.dt,
+                             config_.ptop, solve_delp_.data(),
+                             solve_theta_.data(), solve_p_.data(),
+                             solve_w_.data(), solve_phi_.data(),
+                             config_.w_damp_tau);
+  };
   if (hooks) {
-    const Index* bcells = bands_.boundary_cells.data();
-    const Index nb = static_cast<Index>(bands_.boundary_cells.size());
-    const Index* icells = bands_.interior_cells.data();
-    const Index ni = static_cast<Index>(bands_.interior_cells.size());
-    kernels::computeRrrBand<double>(bcells, nb, nlev, config_.ptop,
-                                    state.delp.data(), state.theta.data(),
-                                    state.phi.data(), alpha_.data(), p_.data(),
-                                    exner_.data(), pi_mid_.data());
-    kernels::vertImplicitSolverBand(bcells, nb, nlev, config_.dt, config_.ptop,
-                                    state.delp.data(), state.theta.data(),
-                                    p_.data(), state.w.data(), state.phi.data(),
-                                    config_.w_damp_tau);
+    // The column solve reads no halos: post the boundary columns' results
+    // and solve the interior columns while the messages are in flight.
+    solve(bands_.boundary_cells.data(), band(bands_.boundary_cells));
     hooks->post();
-    kernels::computeRrrBand<double>(icells, ni, nlev, config_.ptop,
-                                    state.delp.data(), state.theta.data(),
-                                    state.phi.data(), alpha_.data(), p_.data(),
-                                    exner_.data(), pi_mid_.data());
-    kernels::vertImplicitSolverBand(icells, ni, nlev, config_.dt, config_.ptop,
-                                    state.delp.data(), state.theta.data(),
-                                    p_.data(), state.w.data(), state.phi.data(),
-                                    config_.w_damp_tau);
+    solve(bands_.interior_cells.data(), band(bands_.interior_cells));
     hooks->wait();
-  } else if (config_.use_simd && backend::simd::enabled()) {
-    // Lockstep schedule through the SIMD table (contiguous prefix only --
-    // the band lists above stay on the Host drivers). The solver entry is
-    // scalar in every tier; it rides the table for uniform routing.
-    const backend::simd::KernelTable& tb = backend::simd::table();
-    tb.compute_rrr[0](bounds_.cells_prog, nlev, config_.ptop,
-                      state.delp.data(), state.theta.data(), state.phi.data(),
-                      alpha_.data(), p_.data(), exner_.data(), pi_mid_.data());
-    tb.vert_implicit_solver[0](bounds_.cells_prog, nlev, config_.dt,
-                               config_.ptop, state.delp.data(),
-                               state.theta.data(), p_.data(), state.w.data(),
-                               state.phi.data(), config_.w_damp_tau);
-    if (exchange) exchange(state);
   } else {
-    kernels::computeRrr<double>(bounds_.cells_prog, nlev, config_.ptop,
-                                state.delp.data(), state.theta.data(),
-                                state.phi.data(), alpha_.data(), p_.data(),
-                                exner_.data(), pi_mid_.data());
-    kernels::vertImplicitSolver(bounds_.cells_prog, nlev, config_.dt,
-                                config_.ptop, state.delp.data(),
-                                state.theta.data(), p_.data(), state.w.data(),
-                                state.phi.data(), config_.w_damp_tau);
-    if (exchange) exchange(state);
-  }
-
-  // Accumulate the (double-precision) mass flux driving tracer transport.
-#pragma omp parallel for schedule(static)
-  for (Index e = 0; e < mesh_.nedges; ++e) {
-    for (int kk = 0; kk < nlev; ++kk) acc_flux_(e, kk) += flux_(e, kk);
+    solve(nullptr, bounds_.cells_prog);
+    if (exchange) exchange(*states[0]);
   }
   ++acc_steps_;
 }
@@ -416,14 +388,9 @@ void calcPressureGradient(const HexMesh& m, Index nedges, int nlev,
 // interfaces (w = 0 at the top and the surface). delta-pi at interface k is
 // the mean of the adjacent layer masses. This kernel carries the gravity
 // and acoustic terms the paper pins to double precision.
-namespace {
-
-// Shared implementation: `cells == nullptr` solves the contiguous range
-// [0, ncols); otherwise the listed columns (boundary/interior band).
-void vertImplicitSolverImpl(const Index* cells, Index ncols, int nlev,
-                            double dt, double ptop, const double* delp,
-                            const double* theta, const double* p, double* w,
-                            double* phi, double w_damp_tau) {
+void vertImplicitSolver(Index ncells, int nlev, double dt, double ptop,
+                        const double* delp, const double* theta, const double* p,
+                        double* w, double* phi, double w_damp_tau) {
   using common::Workspace;
 #pragma omp parallel
   {
@@ -434,8 +401,7 @@ void vertImplicitSolverImpl(const Index* cells, Index ncols, int nlev,
     ws.reserve(Workspace::bytesFor<double>(nlev) * 5 +
                Workspace::bytesFor<double>(nlev + 1));
 #pragma omp for schedule(static)
-    for (Index i = 0; i < ncols; ++i) {
-      const Index c = cells ? cells[i] : i;
+    for (Index c = 0; c < ncells; ++c) {
       const Workspace::Frame frame(ws);
       const int n = nlev - 1;
       grist::backend::kernels::VertSolveScratch scratch;
@@ -453,29 +419,6 @@ void vertImplicitSolverImpl(const Index* cells, Index ncols, int nlev,
   } // omp parallel
 }
 
-} // namespace
-
-void vertImplicitSolver(Index ncells, int nlev, double dt, double ptop,
-                        const double* delp, const double* theta, const double* p,
-                        double* w, double* phi, double w_damp_tau) {
-  vertImplicitSolverImpl(nullptr, ncells, nlev, dt, ptop, delp, theta, p, w,
-                         phi, w_damp_tau);
-}
-
-void vertImplicitSolverBand(const Index* cells, Index nband, int nlev,
-                            double dt, double ptop, const double* delp,
-                            const double* theta, const double* p, double* w,
-                            double* phi, double w_damp_tau) {
-  vertImplicitSolverImpl(cells, nband, nlev, dt, ptop, delp, theta, p, w, phi,
-                         w_damp_tau);
-}
-
 } // namespace kernels
-
-// Explicit instantiations of the step for both precisions.
-template void Dycore::stepImpl<double>(State&, const ExchangeFn&,
-                                       const OverlapHooks*);
-template void Dycore::stepImpl<float>(State&, const ExchangeFn&,
-                                      const OverlapHooks*);
 
 } // namespace grist::dycore

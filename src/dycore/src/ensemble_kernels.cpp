@@ -1,290 +1,73 @@
-// Ensemble-runner-private kernels (see ensemble_kernels.hpp for the bitwise
-// contract). This TU is compiled with AVX-512 flags when available and
-// always with -ffp-contract=off: every floating-point expression below must
-// evaluate per element exactly as the portable scalar code in
-// backend/kernels.hpp and dycore.cpp does, so no FMA contraction and no
-// value-changing reassociation are permitted. Only elementwise-independent
-// dimensions (the vertical index k, the flat cell*k index, or the ensemble
-// member lane) are vectorized; libm pow stays scalar per element.
+// Runtime dispatch of the dycore step sweeps: every call runs the AVX-512
+// copy when that is the tier the SIMD backend has active
+// (grist/backend/simd.hpp -- cpuid-checked, clamped down by
+// GRIST_SIMD_TIER), and the portable copy otherwise, including under
+// GRIST_SIMD=0. Both copies give bitwise the same values.
 #include "grist/dycore/ensemble_kernels.hpp"
 
-#include <cmath>
-
-#include "grist/common/math.hpp"
-#include "grist/common/workspace.hpp"
+#include "grist/backend/simd.hpp"
+#include "ensemble_kernels_tiers.hpp"
 
 namespace grist::dycore::ensemble_kernels {
-
-using common::Workspace;
-using constants::kCp;
-using constants::kGravity;
-using constants::kKappa;
-using constants::kP0;
-using constants::kRd;
-using precision::NsMode;
-
 namespace {
 
-// alpha = NS(dphi)/NS(dp); p = kP0*pow(dp/double(NS(dphi))*kRd*theta/kP0,
-// cp/cv). Same expressions, same order, as computeRrrColumn (minus the
-// pi_mid accumulation and the Exner pow, whose outputs are dead here).
-// The pow argument is staged through the p array so the divides vectorize
-// over k and the libm calls run in one flat scalar pass.
-template <precision::NsReal NS>
-void rrrLiteImpl(Index ncells, int nlev, const double* delp, const double* theta,
-                 const double* phi, double* alpha, double* p) {
-  const double gamma = kCp / (kCp - kRd);  // cp/cv
-#pragma omp parallel
-  {
-#pragma omp for schedule(static)
-    for (Index c = 0; c < ncells; ++c) {
-      const double* dp_row = delp + c * nlev;
-      const double* th_row = theta + c * nlev;
-      const double* phi_row = phi + c * (nlev + 1);
-      double* a_row = alpha + c * nlev;
-      double* p_row = p + c * nlev;
-#pragma omp simd
-      for (int k = 0; k < nlev; ++k) {
-        const double dp = dp_row[k];
-        const NS dphi = static_cast<NS>(phi_row[k] - phi_row[k + 1]);
-        a_row[k] = static_cast<double>(dphi / static_cast<NS>(dp));
-        const double rho = dp / static_cast<double>(dphi);
-        p_row[k] = rho * kRd * th_row[k] / kP0;
-      }
-    }
-    const Index total = ncells * nlev;
-#pragma omp for schedule(static)
-    for (Index i = 0; i < total; ++i) p[i] = kP0 * std::pow(p[i], gamma);
+const Table& active() {
+#if GRIST_EK_HAVE_AVX512
+  namespace simd = backend::simd;
+  if (simd::enabled() && simd::activeTier() == simd::Tier::kAvx512) {
+    return tierTableAvx512();
   }
+#endif
+  return tierTableScalar();
 }
 
 } // namespace
 
 void rrrLite(Index ncells, int nlev, const double* delp, const double* theta,
-             const double* phi, double* alpha, double* p, NsMode ns) {
-  if (ns == NsMode::kDouble) {
-    rrrLiteImpl<double>(ncells, nlev, delp, theta, phi, alpha, p);
-  } else {
-    rrrLiteImpl<float>(ncells, nlev, delp, theta, phi, alpha, p);
-  }
+             const double* phi, double* alpha, double* p,
+             precision::NsMode ns) {
+  active().rrr_lite(ncells, nlev, delp, theta, phi, alpha, p, ns);
 }
 
-void rrrPOnly(Index ncells, int nlev, const double* delp, const double* theta,
-              const double* phi, double* p) {
-  // The pre-solver compute_rrr is always double (tb.compute_rrr[0]); only
-  // its p output is read by the implicit solver.
-  const double gamma = kCp / (kCp - kRd);
-#pragma omp parallel
-  {
-#pragma omp for schedule(static)
-    for (Index c = 0; c < ncells; ++c) {
-      const double* dp_row = delp + c * nlev;
-      const double* th_row = theta + c * nlev;
-      const double* phi_row = phi + c * (nlev + 1);
-      double* p_row = p + c * nlev;
-#pragma omp simd
-      for (int k = 0; k < nlev; ++k) {
-        const double dp = dp_row[k];
-        const double dphi = phi_row[k] - phi_row[k + 1];
-        const double rho = dp / dphi;
-        p_row[k] = rho * kRd * th_row[k] / kP0;
-      }
-    }
-    const Index total = ncells * nlev;
-#pragma omp for schedule(static)
-    for (Index i = 0; i < total; ++i) p[i] = kP0 * std::pow(p[i], gamma);
-  }
+void rrrPOnly(const Index* cells, Index ncells, int nlev, const double* delp,
+              const double* theta, const double* phi, double* p) {
+  active().rrr_p_only(cells, ncells, nlev, delp, theta, phi, p);
 }
 
 void saveCellStart(Index ncells, int nlev, const double* delp,
                    const double* theta, double* delp0, double* thetam0) {
-  const Index total = ncells * nlev;
-#pragma omp parallel for simd schedule(static)
-  for (Index i = 0; i < total; ++i) {
-    delp0[i] = delp[i];
-    thetam0[i] = delp[i] * theta[i];
-  }
+  active().save_cell_start(ncells, nlev, delp, theta, delp0, thetam0);
 }
 
 void saveEdgeStart(Index nedges, int nlev, const double* u, double* u0) {
-  const Index total = nedges * nlev;
-#pragma omp parallel for simd schedule(static)
-  for (Index i = 0; i < total; ++i) u0[i] = u[i];
+  active().save_edge_start(nedges, nlev, u, u0);
 }
 
-void updateCells(Index ncells, int nlev, double dts, const double* delp0,
-                 const double* thetam0, const double* delp_tend,
-                 const double* thetam_tend, double* delp, double* theta) {
-  // Positivity branch as a blend: both divides are computed, the discarded
-  // lane's value is thrown away. thetam0/delp0 is always well defined
-  // (delp0 > 0); the speculative nt/nd on a floored lane cannot trap.
-  const Index total = ncells * nlev;
-#pragma omp parallel for simd schedule(static)
-  for (Index i = 0; i < total; ++i) {
-    const double d0 = delp0[i];
-    const double nd = d0 + dts * delp_tend[i];
-    const double nt = thetam0[i] + dts * thetam_tend[i];
-    const double floor_d = 0.1 * d0;
-    const bool floored = nd < floor_d;
-    delp[i] = floored ? floor_d : nd;
-    theta[i] = floored ? thetam0[i] / d0 : nt / nd;
-  }
+void updateCells(const Index* cells, Index ncells, int nlev, double dts,
+                 const double* delp0, const double* thetam0,
+                 const double* delp_tend, const double* thetam_tend,
+                 double* delp, double* theta) {
+  active().update_cells(cells, ncells, nlev, dts, delp0, thetam0, delp_tend,
+                        thetam_tend, delp, theta);
 }
 
-void updateEdges(Index nedges, int nlev, double dts, const double* u0,
-                 const double* u_tend, double* u) {
-  const Index total = nedges * nlev;
-#pragma omp parallel for simd schedule(static)
-  for (Index i = 0; i < total; ++i) u[i] = u0[i] + dts * u_tend[i];
+void updateEdges(const Index* edges, Index nedges, int nlev, double dts,
+                 const double* u0, const double* u_tend, double* u) {
+  active().update_edges(edges, nedges, nlev, dts, u0, u_tend, u);
 }
 
 void accumulateFlux(Index nedges, int nlev, const double* flux, double* acc) {
-  const Index total = nedges * nlev;
-#pragma omp parallel for simd schedule(static)
-  for (Index i = 0; i < total; ++i) acc[i] += flux[i];
+  active().accumulate_flux(nedges, nlev, flux, acc);
 }
 
-void vertSolveMemberLanes(int nmembers, Index ncells, int nlev, double dt,
-                          double ptop, const double* const* delp,
+void vertSolveMemberLanes(int nmembers, const Index* cells, Index ncells,
+                          int nlev, double dt, double ptop,
+                          const double* const* delp,
                           const double* const* theta, const double* const* p,
                           double* const* w, double* const* phi,
                           double w_damp_tau) {
-  // Members in lane blocks of up to 8 (one zmm / two ymm of doubles). All
-  // lane-major arrays are [k][lane]; expressions with k-offsets become flat
-  // elementwise loops with stride-L offsets. Per-lane operation order is
-  // exactly vertImplicitColumn's.
-  constexpr int kMaxLanes = 8;
-  const double gamma = kCp / (kCp - kRd);
-  const double g = kGravity;
-  const int n = nlev - 1;
-
-  for (int m0 = 0; m0 < nmembers; m0 += kMaxLanes) {
-    const int L = std::min(kMaxLanes, nmembers - m0);
-    const double* const* dp_m = delp + m0;
-    const double* const* th_m = theta + m0;
-    const double* const* p_m = p + m0;
-    double* const* w_m = w + m0;
-    double* const* phi_m = phi + m0;
-
-#pragma omp parallel
-    {
-      Workspace& ws = Workspace::threadLocal();
-      const std::size_t row = Workspace::bytesFor<double>(nlev * kMaxLanes);
-      const std::size_t irow = Workspace::bytesFor<double>((nlev + 1) * kMaxLanes);
-      ws.reserve(3 * row + 3 * irow + 4 * row + irow +
-                 Workspace::bytesFor<double>(kMaxLanes));
-#pragma omp for schedule(static)
-      for (Index c = 0; c < ncells; ++c) {
-        Workspace::Frame frame(ws);
-        double* dp_ln = ws.acquire<double>(nlev * L);
-        double* p_ln = ws.acquire<double>(nlev * L);
-        double* comp = ws.acquire<double>(nlev * L);
-        double* phi_ln = ws.acquire<double>((nlev + 1) * L);
-        double* w_ln = ws.acquire<double>((nlev + 1) * L);
-        double* wnew = ws.acquire<double>((nlev + 1) * L);
-        double* lower = ws.acquire<double>(n * L);
-        double* diag = ws.acquire<double>(n * L);
-        double* upper = ws.acquire<double>(n * L);
-        double* rhs = ws.acquire<double>(n * L);
-        double* theta0 = ws.acquire<double>(L);
-
-        const Index cc = c * nlev;
-        const Index ci = c * (nlev + 1);
-        // Gather member columns into lane-major scratch.
-        for (int k = 0; k < nlev; ++k) {
-          for (int l = 0; l < L; ++l) {
-            dp_ln[k * L + l] = dp_m[l][cc + k];
-            p_ln[k * L + l] = p_m[l][cc + k];
-          }
-        }
-        for (int k = 0; k <= nlev; ++k) {
-          for (int l = 0; l < L; ++l) {
-            phi_ln[k * L + l] = phi_m[l][ci + k];
-            w_ln[k * L + l] = w_m[l][ci + k];
-          }
-        }
-        for (int l = 0; l < L; ++l) theta0[l] = th_m[l][cc + 0];
-
-        // comp[j] = gamma p_j / (phi_j - phi_{j+1}); flat over [k][lane].
-#pragma omp simd
-        for (int i = 0; i < nlev * L; ++i) {
-          comp[i] = gamma * p_ln[i] / (phi_ln[i] - phi_ln[i + L]);
-        }
-        // Tridiagonal rows for interior interfaces k = 1..n; flat index
-        // i = (k-1)*L + lane, so "level k" reads sit at i + L.
-#pragma omp simd
-        for (int i = 0; i < n * L; ++i) {
-          const double dpi = 0.5 * (dp_ln[i] + dp_ln[i + L]);
-          const double ck = dt * g / dpi;
-          const double a = ck * dt * g;
-          lower[i] = -a * comp[i];
-          diag[i] = 1.0 + a * (comp[i + L] + comp[i]);
-          upper[i] = -a * comp[i + L];
-          rhs[i] = w_ln[i + L] + ck * (p_ln[i + L] - p_ln[i]) - dt * g;
-        }
-        // Thomas forward elimination: sequential in k, lane-parallel.
-        for (int i = 1; i < n; ++i) {
-#pragma omp simd
-          for (int l = 0; l < L; ++l) {
-            const double mm = lower[i * L + l] / diag[(i - 1) * L + l];
-            diag[i * L + l] -= mm * upper[(i - 1) * L + l];
-            rhs[i * L + l] -= mm * rhs[(i - 1) * L + l];
-          }
-        }
-        for (int i = 0; i < (nlev + 1) * L; ++i) wnew[i] = 0.0;
-        if (n > 0) {
-#pragma omp simd
-          for (int l = 0; l < L; ++l) {
-            wnew[n * L + l] = rhs[(n - 1) * L + l] / diag[(n - 1) * L + l];
-          }
-          for (int i = n - 2; i >= 0; --i) {
-#pragma omp simd
-            for (int l = 0; l < L; ++l) {
-              wnew[(i + 1) * L + l] =
-                  (rhs[i * L + l] - upper[i * L + l] * wnew[(i + 2) * L + l]) /
-                  diag[i * L + l];
-            }
-          }
-        }
-        if (w_damp_tau > 0) {
-          // Rows k = 1..n of wnew, i.e. flat indices [L, nlev*L).
-#pragma omp simd
-          for (int i = L; i < nlev * L; ++i) {
-            wnew[i] /= 1.0 + dt / w_damp_tau;
-          }
-        }
-        // Inversion limiter (reads pre-update phi); wnew row k sits at
-        // i + L for flat i = (k-1)*L + lane.
-#pragma omp simd
-        for (int i = 0; i < n * L; ++i) {
-          const double room =
-              0.25 * std::min(phi_ln[i] - phi_ln[i + L],
-                              phi_ln[i + L] - phi_ln[i + 2 * L]);
-          const double bound = room / (dt * g);
-          double wk = wnew[i + L];
-          wk = wk > bound ? bound : wk;
-          wk = wk < -bound ? -bound : wk;
-          wnew[i + L] = wk;
-        }
-        // Scatter w, update interior phi, re-attach the top interface.
-        for (int k = 0; k <= nlev; ++k) {
-          for (int l = 0; l < L; ++l) w_m[l][ci + k] = wnew[k * L + l];
-        }
-        for (int k = 1; k <= n; ++k) {
-          for (int l = 0; l < L; ++l) {
-            phi_m[l][ci + k] += dt * g * wnew[k * L + l];
-          }
-        }
-        for (int l = 0; l < L; ++l) {
-          const double pi_top_mid = ptop + 0.5 * dp_ln[l];
-          const double alpha_top = kRd * theta0[l] *
-                                   std::pow(pi_top_mid / kP0, kKappa) /
-                                   pi_top_mid;
-          phi_m[l][ci + 0] = phi_m[l][ci + 1] + alpha_top * dp_ln[l];
-        }
-      }
-    }
-  }
+  active().vert_solve_member_lanes(nmembers, cells, ncells, nlev, dt, ptop,
+                                   delp, theta, p, w, phi, w_damp_tau);
 }
 
 } // namespace grist::dycore::ensemble_kernels

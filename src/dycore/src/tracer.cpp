@@ -49,7 +49,7 @@ void tracerTransportHoriFluxLimiter(const TracerTransportArgs& a, double* q) {
   // SIMD routing: identical arithmetic, vectorized k loops (all four
   // phases live behind one table entry).
   namespace simd = grist::backend::simd;
-  if (a.use_simd && simd::enabled()) {
+  if (simd::enabled()) {
     simd::table().tracer_hori_flux_limiter[simd::kNsIndex<NS>](
         m, a.ncells_prog, nlev, dt, a.mean_flux, a.delp_old, a.delp_new, q,
         flux_low, flux_anti, q_td, rp, rm);

@@ -3,7 +3,11 @@
 // ParallelModel::step() must perform no heap allocation -- which also
 // proves it creates no threads (libstdc++ allocates each std::thread's
 // state block with operator new), for both the overlapped and the lockstep
-// schedule.
+// schedule. The same binary guards the warm solo Model: a full
+// lcm(trac, phy) cycle -- dynamics, tracer transport and ML physics steps --
+// must not touch the heap under DP-ML and MIX-ML. (The conventional physics
+// suite is left out: it still allocates in its column physics on every
+// physics step.)
 //
 // This binary overrides the global allocation operators to count heap
 // traffic, so it is its own test executable (see tests/CMakeLists.txt) --
@@ -13,8 +17,10 @@
 #include <atomic>
 #include <cstdlib>
 #include <functional>
+#include <memory>
 #include <new>
 
+#include "grist/core/model.hpp"
 #include "grist/core/parallel_model.hpp"
 #include "grist/dycore/init.hpp"
 
@@ -110,6 +116,62 @@ TEST_F(PooledStepAllocationGuard, SeedSpawnScheduleDoesAllocate) {
   step();
   step();
   EXPECT_GT(allocsDuring(step), 0);
+}
+
+class ModelAllocationGuard : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    mesh_ = new grid::HexMesh(grid::buildHexMesh(3));
+    trsk_ = new grid::TrskWeights(grid::buildTrskWeights(*mesh_));
+  }
+  static void TearDownTestSuite() {
+    delete trsk_;
+    delete mesh_;
+    trsk_ = nullptr;
+    mesh_ = nullptr;
+  }
+
+  static void expectWarmCycleHeapFree(precision::NsMode ns) {
+    const int nlev = 10;
+    ModelConfig mc;
+    mc.dyn.nlev = nlev;
+    mc.dyn.dt = 300.0;
+    mc.dyn.ns = ns;
+    mc.trac_interval = 4;
+    mc.phy_interval = 5;
+    mc.scheme = PhysicsScheme::kMl;
+    ml::Q1Q2NetConfig qcfg;
+    qcfg.nlev = nlev;
+    qcfg.channels = 12;
+    qcfg.res_units = 1;
+    mc.q1q2 = std::make_shared<ml::Q1Q2Net>(qcfg);
+    ml::RadMlpConfig rcfg;
+    rcfg.nlev = nlev;
+    rcfg.hidden = 16;
+    mc.rad_mlp = std::make_shared<ml::RadMlp>(rcfg);
+    Model model(*mesh_, *trsk_, mc, dycore::initBaroclinicWave(*mesh_, mc.dyn, 3));
+    // Warm-up over one full cadence cycle (lcm(trac=4, phy=5) = 20 steps):
+    // arenas, OpenMP teams and the timing registry's section entries all
+    // materialize here.
+    model.run(20);
+    // The next cycle hits the same tracer/physics boundaries and must stay
+    // off the heap entirely.
+    EXPECT_EQ(allocsDuring([&] { model.run(20); }), 0) << model.schemeName();
+  }
+
+  static grid::HexMesh* mesh_;
+  static grid::TrskWeights* trsk_;
+};
+
+grid::HexMesh* ModelAllocationGuard::mesh_ = nullptr;
+grid::TrskWeights* ModelAllocationGuard::trsk_ = nullptr;
+
+TEST_F(ModelAllocationGuard, WarmCycleIsHeapFreeDpMl) {
+  expectWarmCycleHeapFree(precision::NsMode::kDouble);
+}
+
+TEST_F(ModelAllocationGuard, WarmCycleIsHeapFreeMixMl) {
+  expectWarmCycleHeapFree(precision::NsMode::kSingle);
 }
 
 } // namespace
