@@ -31,8 +31,16 @@
 //                         ITSELF as the rank workers, so worker dispatch
 //                         runs first in main(). A rank that dies takes the
 //                         whole run down and its exit code is propagated.
-//   --pin                 sched_setaffinity rank r -> core r % ncores (shm)
+//   --pin                 bind rank r to its own block of this process's
+//                         allowed CPUs (shm)
 //   --wire-latency S      emulate S seconds of interconnect delivery delay
+// Each rank's OpenMP team is sized to its CPU share on both transports:
+// max(1, allowed CPUs / N), capped by OMP_NUM_THREADS when that is lower.
+// An shm run ends with one line per rank (team size, stepping seconds) and
+// the max/mean stepping imbalance.
+//
+// Numeric flags and the steps operand are parsed strictly: a malformed or
+// out-of-range value exits 2 naming the flag and the value.
 //
 // Batched ensembles (core/ensemble_runner.hpp):
 //   --ensemble M          step M members as one fused workload. Shares the
@@ -51,9 +59,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "grist/common/parse.hpp"
 #include "grist/common/timer.hpp"
 #include "grist/core/checkpoint.hpp"
 #include "grist/core/factory.hpp"
@@ -77,6 +87,19 @@ struct CkptOpts {
 bool fileExists(const std::string& path) {
   struct stat st{};
   return ::stat(path.c_str(), &st) == 0;
+}
+
+constexpr int kMaxInt = std::numeric_limits<int>::max();
+
+/// `text` parsed strictly into [lo, hi]; otherwise exits 2 naming `what`
+/// (the flag) and the value.
+template <class T>
+T parseArg(const char* what, const char* text, T lo, T hi,
+           const char* expected) {
+  if (const auto v = grist::common::parseNumber(text, lo, hi)) return *v;
+  std::fprintf(stderr, "grist_run: %s: invalid value '%s' (expected %s)\n",
+               what, text, expected);
+  std::exit(2);
 }
 
 /// The multi-rank dynamics run (both transports share the reporting).
@@ -146,6 +169,16 @@ int runMultiRank(const grist::Config& config, int steps, grist::Index nranks,
                                        nranks, part_fp);
           });
     stats = session.commStats();
+    double sum = 0.0, worst = 0.0;
+    for (Index r = 0; r < nranks; ++r) {
+      const double s = session.rankStepSeconds(r);
+      std::printf("rank %d: %d OpenMP threads, %.3f s stepping\n",
+                  static_cast<int>(r), session.rankThreads(r), s);
+      sum += s;
+      worst = std::max(worst, s);
+    }
+    std::printf("rank imbalance (max/mean stepping): %.3f\n",
+                sum > 0.0 ? worst * nranks / sum : 1.0);
   } else if (transport == "threads") {
     const grid::HexMesh mesh = grid::buildHexMesh(glevel);
     const grid::TrskWeights trsk = grid::buildTrskWeights(mesh);
@@ -264,37 +297,31 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--ranks") {
-      ranks = std::atoi(value());
+      ranks = parseArg(arg.c_str(), value(), Index{1},
+                       std::numeric_limits<Index>::max(),
+                       "a rank count >= 1");
     } else if (arg == "--transport") {
       transport = value();
     } else if (arg == "--pin") {
       pin = true;
     } else if (arg == "--wire-latency") {
-      wire_latency = std::atof(value());
+      wire_latency = parseArg(arg.c_str(), value(), 0.0,
+                              std::numeric_limits<double>::max(),
+                              "finite seconds >= 0");
     } else if (arg == "--checkpoint-every") {
-      ckpt.every = std::atoi(value());
-      if (ckpt.every <= 0) {
-        std::fprintf(stderr,
-                     "grist_run: --checkpoint-every needs a positive step "
-                     "count (got '%d')\n",
-                     ckpt.every);
-        return 2;
-      }
+      ckpt.every = parseArg(arg.c_str(), value(), 1, kMaxInt,
+                            "a step count >= 1");
     } else if (arg == "--checkpoint-dir") {
       ckpt.dir = value();
     } else if (arg == "--restart") {
       ckpt.restart = value();
     } else if (arg == "--ensemble") {
-      ensemble = std::atoi(value());
-      if (ensemble <= 0) {
-        std::fprintf(stderr,
-                     "grist_run: --ensemble needs a positive member count "
-                     "(got '%d')\n",
-                     ensemble);
-        return 2;
-      }
+      ensemble = parseArg(arg.c_str(), value(), 1, kMaxInt,
+                          "a member count >= 1");
     } else if (arg == "--perturb-seed") {
-      perturb_seed = std::strtoull(value(), nullptr, 10);
+      perturb_seed = parseArg(arg.c_str(), value(), std::uint64_t{0},
+                              std::numeric_limits<std::uint64_t>::max(),
+                              "an unsigned 64-bit integer");
       seed_given = true;
     } else {
       pos.push_back(argv[i]);
@@ -348,10 +375,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "grist_run: %s\n", e.what());
     return 2;
   }
+  const int steps =
+      pos.size() > 1
+          ? parseArg("steps", pos[1], 0, kMaxInt, "a step count >= 0")
+          : config.getInt("steps", 48);
 
   if (ensemble > 0) {
-    const int steps =
-        pos.size() > 1 ? std::atoi(pos[1]) : config.getInt("steps", 48);
     try {
       return runEnsemble(config, steps, ensemble, perturb_seed);
     } catch (const std::exception& e) {
@@ -361,11 +390,9 @@ int main(int argc, char** argv) {
   }
 
   if (ranks > 1 || transport == "shm") {
-    const int steps =
-        pos.size() > 1 ? std::atoi(pos[1]) : config.getInt("steps", 48);
     try {
-      return runMultiRank(config, steps, std::max<Index>(ranks, 1), transport,
-                          pin, wire_latency, ckpt);
+      return runMultiRank(config, steps, ranks, transport, pin, wire_latency,
+                          ckpt);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "grist_run: %s\n", e.what());
       return 1;
@@ -397,8 +424,6 @@ int main(int argc, char** argv) {
                 restart_in.c_str(), model.simDays(), model.dynSteps());
   }
 
-  const int steps =
-      pos.size() > 1 ? std::atoi(pos[1]) : config.getInt("steps", 48);
   const int report = std::max(1, config.getInt("report_interval", 12));
   std::printf("scheme %s, grid G%d (%d cells), %d steps\n", model.schemeName(),
               config.getInt("grid_level", 4), mesh.ncells, steps);

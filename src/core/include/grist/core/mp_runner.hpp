@@ -18,11 +18,14 @@
 //   MpSession          parent-side handle: fork+execs one worker per rank
 //                      (this binary, re-entered via maybeRunWorker), then
 //                      drives them through a shared control block --
-//                      run(n), gather() (owned state + per-rank hashes +
-//                      CommStats through a shared result segment), and
-//                      teardown with exit-code propagation and segment
-//                      unlink. A rank that dies mid-run fails the whole
-//                      session instead of wedging it.
+//                      run(n), gather() (owned state + per-rank hashes,
+//                      OpenMP team sizes and stepping seconds + CommStats
+//                      through a shared result segment), and teardown with
+//                      exit-code propagation and segment unlink. A rank
+//                      that dies mid-run fails the whole session instead
+//                      of wedging it. Each rank's OpenMP team is sized to
+//                      its CPU share (parallel::cpuShare), so N ranks never
+//                      start more threads than the parent's allowed CPUs.
 //   maybeRunWorker     argv dispatch; call FIRST in main() of any binary
 //                      that constructs an MpSession.
 #pragma once
@@ -49,7 +52,7 @@ struct RunSpec {
   int ntracers = 1;
   precision::NsMode ns = precision::NsMode::kDouble;
   Index nranks = 2;
-  bool pin = false;        ///< sched_setaffinity rank r -> core r % ncores
+  bool pin = false;        ///< bind rank r to its CpuShare::block(r)
   double wire_latency = 0; ///< seconds, forwarded per step command
   std::string segment;     ///< transport segment name; generated if empty
   /// Snapshot file (io/snapshot.hpp) to restore the initial state from
@@ -117,6 +120,7 @@ struct ResultLayout {
   Index nranks = 0, ncells = 0, nedges = 0;
   int nlev = 0, ntracers = 0;
   std::size_t hashes_off = 0;
+  std::size_t threads_off = 0, step_s_off = 0;  ///< per-rank int64 / double
   std::size_t delp_off = 0, theta_off = 0, w_off = 0, phi_off = 0, u_off = 0;
   std::size_t tracers_off = 0;
   std::size_t total = 0;
@@ -144,11 +148,17 @@ class MpSession {
   void setWireLatency(double seconds) { spec_.wire_latency = seconds; }
 
   /// Reassemble the global owned state from the result segment (also
-  /// refreshes rankHash()/commStats()).
+  /// refreshes rankHash()/rankThreads()/rankStepSeconds()/commStats()).
   dycore::State gather();
 
   parallel::CommStats commStats();
   std::uint64_t rankHash(Index rank) const { return hashes_.at(static_cast<std::size_t>(rank)); }
+  /// Rank r's OpenMP team size, as the worker reported it at the last gather.
+  int rankThreads(Index rank) const { return threads_.at(static_cast<std::size_t>(rank)); }
+  /// Seconds rank r spent in run() commands up to the last gather.
+  double rankStepSeconds(Index rank) const { return step_s_.at(static_cast<std::size_t>(rank)); }
+  /// Rank r's process id (valid until the session is destroyed).
+  pid_t rankPid(Index rank) const { return pids_.at(static_cast<std::size_t>(rank)); }
 
   Index nranks() const { return spec_.nranks; }
   const grid::HexMesh& mesh() const { return mesh_; }
@@ -169,6 +179,8 @@ class MpSession {
   std::uint32_t seq_ = 0;
   bool failed_ = false;
   std::vector<std::uint64_t> hashes_;
+  std::vector<int> threads_;
+  std::vector<double> step_s_;
   parallel::CommStats stats_{};
 };
 

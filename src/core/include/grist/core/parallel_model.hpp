@@ -8,7 +8,10 @@
 // Ranks run on a PERSISTENT worker pool (one thread per rank, created once)
 // released per step through reusable barriers -- a warm step() performs no
 // thread creation and no heap allocation (tests/core/test_parallel_model_
-// alloc.cpp). Three schedules share the pool:
+// alloc.cpp). Each rank thread sizes its OpenMP team to the rank's CPU
+// share (parallel::cpuShare, the same rule the shm fleet uses), so the
+// pool never runs nranks full-width teams on the same CPUs. Three
+// schedules share the pool:
 //   kOverlap (default)  boundary-band compute -> post() -> interior-band
 //                       compute -> wait(); communication is hidden behind
 //                       the interior sweep. Bitwise identical to lockstep.
@@ -132,6 +135,7 @@ class ParallelModel {
   // workers after -- the barrier provides the happens-before edge.
   Schedule schedule_ = Schedule::kOverlap;
   bool stopping_ = false;
+  int rank_threads_ = 1;  // OpenMP team per rank thread (cpuShare().threads)
   std::barrier<> start_barrier_;
   std::barrier<> done_barrier_;
   std::barrier<StageExchange> stage_barrier_;

@@ -4,14 +4,19 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <omp.h>
+
 #include <chrono>
 #include <climits>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 
 #include "grist/common/hash.hpp"
+#include "grist/common/parse.hpp"
 #include "grist/core/checkpoint.hpp"
 #include "grist/dycore/init.hpp"
 #include "grist/parallel/mp_launch.hpp"
@@ -74,6 +79,10 @@ ResultLayout ResultLayout::compute(Index nranks, Index ncells, Index nedges,
   std::size_t off = alignUp(sizeof(CtlBlock));
   l.hashes_off = off;
   off = alignUp(off + static_cast<std::size_t>(nranks) * sizeof(std::uint64_t));
+  l.threads_off = off;
+  off = alignUp(off + static_cast<std::size_t>(nranks) * sizeof(std::int64_t));
+  l.step_s_off = off;
+  off = alignUp(off + static_cast<std::size_t>(nranks) * sizeof(double));
   l.delp_off = off;
   off = alignUp(off + nc * lev * sizeof(double));
   l.theta_off = off;
@@ -195,7 +204,10 @@ void RankProcessModel::writeOwnedState(double* delp, double* theta, double* w,
 
 namespace {
 
-int workerMain(const RunSpec& spec, Index rank) {
+int workerMain(const RunSpec& spec, Index rank, int threads) {
+  // Size the team before the first parallel region, so the mesh/TRSK/init
+  // build below runs on this rank's CPU share too.
+  omp_set_num_threads(threads);
   const grid::HexMesh mesh = grid::buildHexMesh(spec.grid_level);
   const grid::TrskWeights trsk = grid::buildTrskWeights(mesh);
   dycore::DycoreConfig cfg;
@@ -224,6 +236,7 @@ int workerMain(const RunSpec& spec, Index rank) {
     return reinterpret_cast<double*>(base + off);
   };
 
+  double step_seconds = 0.0;  // accumulated inside kCmdStep
   std::uint32_t last = 0;
   for (;;) {
     std::uint32_t s = c->cmd_seq.load(std::memory_order_acquire);
@@ -236,15 +249,23 @@ int workerMain(const RunSpec& spec, Index rank) {
     }
     const std::uint32_t cmd = c->cmd;
     switch (cmd) {
-      case kCmdStep:
+      case kCmdStep: {
         model.setWireLatency(c->wire_latency);
+        const auto t0 = std::chrono::steady_clock::now();
         model.run(c->nsteps);
+        step_seconds += std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
         break;
+      }
       case kCmdGather:
         model.writeOwnedState(at(lay.delp_off), at(lay.theta_off), at(lay.w_off),
                               at(lay.phi_off), at(lay.u_off), at(lay.tracers_off));
         reinterpret_cast<std::uint64_t*>(base + lay.hashes_off)[rank] =
             model.ownedHash();
+        reinterpret_cast<std::int64_t*>(base + lay.threads_off)[rank] =
+            omp_get_max_threads();
+        at(lay.step_s_off)[rank] = step_seconds;
         if (rank == 0) {
           const parallel::CommStats st = model.commStats();
           c->messages = st.messages;
@@ -274,24 +295,47 @@ int workerMain(const RunSpec& spec, Index rank) {
 
 std::optional<int> maybeRunWorker(int argc, char** argv) {
   if (argc < 2 || std::strcmp(argv[1], kWorkerFlag) != 0) return std::nullopt;
-  if (argc != 11) {
-    std::fprintf(stderr, "%s: expected 9 operands, got %d\n", kWorkerFlag,
-                 argc - 2);
+  // Operands after the flag, in the order MpSession writes them.
+  static constexpr const char* kOperands[] = {
+      "segment", "nranks", "rank", "grid_level", "nlev", "dt",
+      "ntracers", "ns", "restart", "threads"};
+  constexpr int kNumOperands = static_cast<int>(std::size(kOperands));
+  if (argc != 2 + kNumOperands) {
+    std::fprintf(stderr, "%s: expected %d operands, got %d\n", kWorkerFlag,
+                 kNumOperands, argc - 2);
     return 2;
   }
+  int bad = -1;  // index of the first malformed operand
+  const auto operand = [&](int i) { return argv[2 + i]; };
+  const auto num = [&](int i, auto lo, auto hi) {
+    const auto v = common::parseNumber(operand(i), lo, hi);
+    if (!v && bad < 0) bad = i;
+    return v.value_or(lo);
+  };
+  constexpr int kMaxInt = std::numeric_limits<int>::max();
   RunSpec spec;
-  spec.segment = argv[2];
-  spec.nranks = static_cast<Index>(std::atoi(argv[3]));
-  const Index rank = static_cast<Index>(std::atoi(argv[4]));
-  spec.grid_level = std::atoi(argv[5]);
-  spec.nlev = std::atoi(argv[6]);
-  spec.dt = std::strtod(argv[7], nullptr);
-  spec.ntracers = std::atoi(argv[8]);
-  spec.ns = std::strcmp(argv[9], "mix") == 0 ? precision::NsMode::kSingle
-                                             : precision::NsMode::kDouble;
-  if (std::strcmp(argv[10], "-") != 0) spec.restart = argv[10];
+  spec.segment = operand(0);
+  spec.nranks = num(1, Index{1}, std::numeric_limits<Index>::max());
+  const Index rank = num(2, Index{0}, spec.nranks - 1);
+  spec.grid_level = num(3, 0, kMaxInt);
+  spec.nlev = num(4, 1, kMaxInt);
+  spec.dt = num(5, std::numeric_limits<double>::min(),
+                std::numeric_limits<double>::max());
+  spec.ntracers = num(6, 0, kMaxInt);
+  if (std::strcmp(operand(7), "mix") == 0) {
+    spec.ns = precision::NsMode::kSingle;
+  } else if (std::strcmp(operand(7), "dp") != 0 && bad < 0) {
+    bad = 7;
+  }
+  if (std::strcmp(operand(8), "-") != 0) spec.restart = operand(8);
+  const int threads = num(9, 1, kMaxInt);
+  if (bad >= 0) {
+    std::fprintf(stderr, "%s: malformed %s operand '%s'\n", kWorkerFlag,
+                 kOperands[bad], operand(bad));
+    return 2;
+  }
   try {
-    return workerMain(spec, rank);
+    return workerMain(spec, rank, threads);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "[grist shm worker rank %d] %s\n",
                  static_cast<int>(rank), e.what());
@@ -317,10 +361,13 @@ MpSession::MpSession(RunSpec spec)
   ctl_ = parallel::ShmRegion::create(spec_.segment + "-ctl", layout_.total);
   ctl_.markReady();
   hashes_.assign(static_cast<std::size_t>(spec_.nranks), 0);
+  threads_.assign(static_cast<std::size_t>(spec_.nranks), 0);
+  step_s_.assign(static_cast<std::size_t>(spec_.nranks), 0.0);
 
   char dt[40];
   std::snprintf(dt, sizeof(dt), "%.17g", spec_.dt);
-  pids_ = parallel::spawnRanks(spec_.nranks, spec_.pin, [&](Index r) {
+  const parallel::CpuShare cpus = parallel::cpuShare(spec_.nranks);
+  pids_ = parallel::spawnRanks(cpus, spec_.pin, [&](Index r) {
     return std::vector<std::string>{
         "grist-shm-worker",
         kWorkerFlag,
@@ -332,7 +379,8 @@ MpSession::MpSession(RunSpec spec)
         dt,
         std::to_string(spec_.ntracers),
         nsName(spec_.ns),
-        spec_.restart.empty() ? "-" : spec_.restart};
+        spec_.restart.empty() ? "-" : spec_.restart,
+        std::to_string(cpus.threads)};
   });
   exit_codes_.assign(pids_.size(), -1);
 }
@@ -426,8 +474,13 @@ void MpSession::refreshResults() {
   const auto* base = static_cast<const std::uint8_t*>(ctl_.payload());
   const auto* c = reinterpret_cast<const CtlBlock*>(base);
   const auto* h = reinterpret_cast<const std::uint64_t*>(base + layout_.hashes_off);
+  const auto* th = reinterpret_cast<const std::int64_t*>(base + layout_.threads_off);
+  const auto* ss = reinterpret_cast<const double*>(base + layout_.step_s_off);
   for (Index r = 0; r < spec_.nranks; ++r) {
-    hashes_[static_cast<std::size_t>(r)] = h[r];
+    const auto i = static_cast<std::size_t>(r);
+    hashes_[i] = h[r];
+    threads_[i] = static_cast<int>(th[r]);
+    step_s_[i] = ss[r];
   }
   stats_.messages = c->messages;
   stats_.bytes = c->bytes;

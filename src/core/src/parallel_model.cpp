@@ -1,8 +1,12 @@
 #include "grist/core/parallel_model.hpp"
 
+#include <omp.h>
+
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
+
+#include "grist/parallel/mp_launch.hpp"
 
 namespace grist::core {
 
@@ -134,6 +138,9 @@ ParallelModel::ParallelModel(const grid::HexMesh& mesh, const TrskWeights& trsk,
   // Initial halo fill (scatterState already fills halos, but this exercises
   // the exchange path and guards against stale construction).
   comm_.exchange(lists_);
+  // Read on this thread: a team size it set with omp_set_num_threads caps
+  // the ranks' teams (new threads would only see the process default).
+  rank_threads_ = parallel::cpuShare(decomp_.nranks).threads;
   // Persistent pool: one worker per rank, parked at start_barrier_.
   workers_.reserve(decomp_.nranks);
   for (Index r = 0; r < decomp_.nranks; ++r) {
@@ -148,6 +155,7 @@ ParallelModel::~ParallelModel() {
 }
 
 void ParallelModel::workerLoop(Index rank) {
+  omp_set_num_threads(rank_threads_);
   for (;;) {
     start_barrier_.arrive_and_wait();
     if (stopping_) return;
@@ -172,6 +180,7 @@ void ParallelModel::step() {
     threads.reserve(n);
     for (Index r = 0; r < n; ++r) {
       threads.emplace_back([this, r, &barrier]() {
+        omp_set_num_threads(rank_threads_);
         dycores_[r]->step(states_[r],
                           [&barrier](State&) { barrier.arrive_and_wait(); });
       });

@@ -5,6 +5,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <omp.h>
+
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -19,32 +22,61 @@ std::string makeSegmentName() {
          std::to_string(static_cast<unsigned long long>(ns) % 0x1000000ull);
 }
 
-namespace {
-
-void pinToCore(Index rank) {
-  long ncores = ::sysconf(_SC_NPROCESSORS_ONLN);
-  if (ncores < 1) ncores = 1;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<int>(rank % static_cast<Index>(ncores)), &set);
-  ::sched_setaffinity(0, sizeof(set), &set);  // best effort
+CpuShare cpuShare(Index nranks) {
+  CpuShare c;
+  c.nranks = nranks;
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (::sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &mask)) c.cpus.push_back(cpu);
+    }
+  }
+  if (c.cpus.empty()) {
+    const long n = ::sysconf(_SC_NPROCESSORS_ONLN);
+    for (long cpu = 0; cpu < std::max(1L, n); ++cpu) {
+      c.cpus.push_back(static_cast<int>(cpu));
+    }
+  }
+  const Index ncpu = static_cast<Index>(c.cpus.size());
+  c.share = static_cast<int>(std::max<Index>(1, ncpu / std::max<Index>(1, nranks)));
+  c.threads = std::min(c.share, omp_get_max_threads());
+  return c;
 }
 
-} // namespace
+cpu_set_t CpuShare::block(Index rank) const {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  const std::size_t n = cpus.size();
+  for (int i = 0; i < share; ++i) {
+    const std::size_t k =
+        (static_cast<std::size_t>(rank) * static_cast<std::size_t>(share) +
+         static_cast<std::size_t>(i)) % n;
+    CPU_SET(cpus[k], &set);
+  }
+  return set;
+}
 
 std::vector<pid_t> spawnRanks(Index nranks, bool pin,
                               const std::function<std::vector<std::string>(Index)>& argv_for) {
+  return spawnRanks(cpuShare(nranks), pin, argv_for);
+}
+
+std::vector<pid_t> spawnRanks(const CpuShare& cpus, bool pin,
+                              const std::function<std::vector<std::string>(Index)>& argv_for) {
+  const Index nranks = cpus.nranks;
   std::vector<pid_t> pids;
   pids.reserve(static_cast<std::size_t>(nranks));
   for (Index r = 0; r < nranks; ++r) {
-    // Materialize the child's argv BEFORE fork: between fork and exec only
-    // async-signal-safe calls are allowed (the parent is multithreaded),
-    // and heap allocation is not one of them.
+    // Materialize the child's argv and CPU mask BEFORE fork: between fork
+    // and exec only async-signal-safe calls are allowed (the parent is
+    // multithreaded), and heap allocation is not one of them.
     const std::vector<std::string> args = argv_for(r);
     std::vector<char*> argv;
     argv.reserve(args.size() + 1);
     for (const std::string& a : args) argv.push_back(const_cast<char*>(a.c_str()));
     argv.push_back(nullptr);
+    const cpu_set_t block = cpus.block(r);
 
     const pid_t pid = ::fork();
     if (pid < 0) {
@@ -55,7 +87,7 @@ std::vector<pid_t> spawnRanks(Index nranks, bool pin,
                                std::strerror(err));
     }
     if (pid == 0) {
-      if (pin) pinToCore(r);
+      if (pin) ::sched_setaffinity(0, sizeof(block), &block);  // best effort
       ::execv("/proc/self/exe", argv.data());
       _exit(127);  // exec failed; async-signal-safe exit only
     }

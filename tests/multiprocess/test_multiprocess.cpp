@@ -12,12 +12,19 @@
 //                            (simulates a killed run)
 //   --exit-worker/--sleep-worker  launcher teardown fixtures
 //
+// CpuShareFleet.* and CpuSharePin.* check each rank's OpenMP team size
+// and, with pinning, its CPU mask against the parent's sched_getaffinity
+// mask.
+//
 // The headline gate: a one-process-per-rank run over shared memory is
 // BITWISE identical to the in-process threaded pool -- every rank rebuilds
 // the same local domains and kernels from the same parameters, and the
 // exchanged halos are exact copies whichever address space they cross.
 #include <gtest/gtest.h>
+#include <omp.h>
+#include <sched.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -307,6 +314,123 @@ INSTANTIATE_TEST_SUITE_P(
       return "R" + std::to_string(std::get<0>(info.param)) +
              (std::get<1>(info.param) == precision::NsMode::kSingle ? "MIX" : "DP");
     });
+
+// ---------------------------------------------------------------------------
+// CPU share: every rank's OpenMP team is max(1, ncpu / nranks) capped by
+// omp_get_max_threads(), and a pinned rank owns its own block of the
+// parent's allowed CPUs.
+
+std::vector<int> affinityOf(pid_t pid) {
+  cpu_set_t m;
+  CPU_ZERO(&m);
+  std::vector<int> cpus;
+  if (::sched_getaffinity(pid, sizeof(m), &m) != 0) return cpus;
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &m)) cpus.push_back(c);
+  }
+  return cpus;
+}
+
+int expectedThreads(Index nranks) {
+  const int ncpu = static_cast<int>(affinityOf(0).size());
+  return std::min(std::max(1, ncpu / static_cast<int>(nranks)),
+                  omp_get_max_threads());
+}
+
+/// Narrows this thread's affinity (the mask a fleet launched from it
+/// inherits and shares out) for the guard's lifetime.
+class AffinityGuard {
+ public:
+  explicit AffinityGuard(const std::vector<int>& cpus) {
+    cpu_set_t m;
+    CPU_ZERO(&m);
+    for (const int c : cpus) CPU_SET(c, &m);
+    ok_ = ::sched_getaffinity(0, sizeof(saved_), &saved_) == 0 &&
+          ::sched_setaffinity(0, sizeof(m), &m) == 0;
+  }
+  ~AffinityGuard() { ::sched_setaffinity(0, sizeof(saved_), &saved_); }
+  AffinityGuard(const AffinityGuard&) = delete;
+  AffinityGuard& operator=(const AffinityGuard&) = delete;
+  bool ok() const { return ok_; }
+
+ private:
+  cpu_set_t saved_{};
+  bool ok_ = false;
+};
+
+/// Every pinned rank's mask must be its CpuShare block: inside `parent`,
+/// `share` CPUs wide, and pairwise disjoint when the ranks fit.
+void expectPinnedBlocks(const MpSession& session, const std::vector<int>& parent) {
+  const Index nranks = session.nranks();
+  const int share =
+      std::max(1, static_cast<int>(parent.size()) / static_cast<int>(nranks));
+  std::vector<int> owner(CPU_SETSIZE, -1);
+  for (Index r = 0; r < nranks; ++r) {
+    const std::vector<int> mask = affinityOf(session.rankPid(r));
+    EXPECT_EQ(static_cast<int>(mask.size()), share) << "rank " << r;
+    for (const int c : mask) {
+      EXPECT_NE(std::find(parent.begin(), parent.end(), c), parent.end())
+          << "rank " << r << " pinned to cpu " << c << " outside the parent mask";
+      if (nranks <= static_cast<Index>(parent.size())) {
+        EXPECT_EQ(owner[c], -1) << "cpu " << c << " pinned to ranks " << owner[c]
+                                << " and " << r;
+      }
+      owner[c] = static_cast<int>(r);
+    }
+  }
+}
+
+class CpuShareFleet : public ::testing::TestWithParam<Index> {};
+
+TEST_P(CpuShareFleet, RankTeamIsItsCpuShare) {
+  const Index nranks = GetParam();
+  RunSpec spec;
+  spec.nranks = nranks;
+  MpSession session(spec);
+  session.run(2);
+  session.gather();
+  const int want = expectedThreads(nranks);
+  for (Index r = 0; r < nranks; ++r) {
+    EXPECT_EQ(session.rankThreads(r), want) << "rank " << r;
+    EXPECT_GT(session.rankStepSeconds(r), 0.0) << "rank " << r;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, CpuShareFleet, ::testing::Values<Index>(2, 4, 7));
+
+TEST(CpuSharePin, RanksOwnDisjointBlocksOfTheParentMask) {
+  const std::vector<int> parent = affinityOf(0);
+  for (const Index nranks : {Index{2}, Index{4}}) {
+    if (nranks > static_cast<Index>(parent.size())) continue;
+    RunSpec spec;
+    spec.nranks = nranks;
+    spec.pin = true;
+    MpSession session(spec);
+    session.run(0);  // acked: every rank is past exec with its mask applied
+    expectPinnedBlocks(session, parent);
+  }
+}
+
+TEST(CpuSharePin, NarrowedParentMaskBoundsTeamsAndBlocks) {
+  const std::vector<int> all = affinityOf(0);
+  if (all.size() < 2) GTEST_SKIP() << "fewer than 2 CPUs allowed";
+  const std::vector<int> two{all[0], all[1]};
+  AffinityGuard guard(two);
+  ASSERT_TRUE(guard.ok());
+  ASSERT_EQ(affinityOf(0), two);
+  for (const Index nranks : {Index{1}, Index{2}, Index{3}}) {
+    RunSpec spec;
+    spec.nranks = nranks;
+    spec.pin = true;
+    MpSession session(spec);
+    session.run(1);
+    session.gather();
+    expectPinnedBlocks(session, two);  // 3 ranks wrap onto the 2 CPUs
+    for (Index r = 0; r < nranks; ++r) {
+      EXPECT_EQ(session.rankThreads(r), expectedThreads(nranks)) << "rank " << r;
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Irregular pack/unpack round-trips through shm at odd rank counts.
