@@ -11,7 +11,8 @@
 // Extra namelist keys beyond the factory's (see core/factory.hpp):
 //   steps (48)            dynamics steps to run (overridden by argv[2])
 //   restart_in            restart file to resume from (--restart overrides)
-//   restart_out           restart file to write at the end
+//   restart_out           snapshot file to write at the end (same format as
+//                         the checkpoints, so a resume continues the cadence)
 //   report_interval (12)  steps between progress lines
 //
 // Checkpoint/restart (io/snapshot.hpp, core/checkpoint.hpp):
@@ -36,8 +37,8 @@
 //   --wire-latency S      emulate S seconds of interconnect delivery delay
 // Each rank's OpenMP team is sized to its CPU share on both transports:
 // max(1, allowed CPUs / N), capped by OMP_NUM_THREADS when that is lower.
-// An shm run ends with one line per rank (team size, stepping seconds) and
-// the max/mean stepping imbalance.
+// An shm run ends with one line per rank (team size; stepping seconds split
+// into compute and halo wait) and the max/mean compute imbalance.
 //
 // Numeric flags and the steps operand are parsed strictly: a malformed or
 // out-of-range value exits 2 naming the flag and the value.
@@ -50,8 +51,12 @@
 //   --perturb-seed S      deterministic theta perturbation seed (default 0 =
 //                         identical members); needs --ensemble. The report
 //                         lines add the area-weighted surface-pressure
-//                         ensemble spread. Ensemble runs are single-rank and
-//                         do not combine with checkpoint/restart.
+//                         ensemble spread. Ensemble runs are single-rank.
+// A solo run is the one-member case of the same runner, so both share one
+// step loop and one checkpoint/restart path, e.g.
+//   grist_run nml --ensemble 4 --checkpoint-every 8 --checkpoint-dir ck
+//   grist_run nml --ensemble 4 --restart ck/ckpt-000000000048.grist
+// A restart must have the member count it was written with.
 #include <sys/stat.h>
 
 #include <algorithm>
@@ -60,6 +65,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -71,7 +77,6 @@
 #include "grist/core/parallel_model.hpp"
 #include "grist/dycore/diagnostics.hpp"
 #include "grist/dycore/init.hpp"
-#include "grist/io/restart.hpp"
 #include "grist/io/snapshot.hpp"
 #include "grist/partition/partitioner.hpp"
 
@@ -169,15 +174,20 @@ int runMultiRank(const grist::Config& config, int steps, grist::Index nranks,
                                        nranks, part_fp);
           });
     stats = session.commStats();
+    // Imbalance over compute seconds: stepping seconds include the halo
+    // wait, in which every rank idles until the slowest one catches up.
     double sum = 0.0, worst = 0.0;
     for (Index r = 0; r < nranks; ++r) {
-      const double s = session.rankStepSeconds(r);
-      std::printf("rank %d: %d OpenMP threads, %.3f s stepping\n",
-                  static_cast<int>(r), session.rankThreads(r), s);
-      sum += s;
-      worst = std::max(worst, s);
+      const double compute = session.rankComputeSeconds(r);
+      std::printf(
+          "rank %d: %d OpenMP threads, %.3f s stepping (%.3f s compute, "
+          "%.3f s halo wait)\n",
+          static_cast<int>(r), session.rankThreads(r),
+          session.rankStepSeconds(r), compute, session.rankWaitSeconds(r));
+      sum += compute;
+      worst = std::max(worst, compute);
     }
-    std::printf("rank imbalance (max/mean stepping): %.3f\n",
+    std::printf("rank imbalance (max/mean compute): %.3f\n",
                 sum > 0.0 ? worst * nranks / sum : 1.0);
   } else if (transport == "threads") {
     const grid::HexMesh mesh = grid::buildHexMesh(glevel);
@@ -216,48 +226,80 @@ int runMultiRank(const grist::Config& config, int steps, grist::Index nranks,
   return 0;
 }
 
-/// The batched ensemble run: M members stepped as one fused workload.
-int runEnsemble(const grist::Config& config, int steps, int members,
-                std::uint64_t perturb_seed) {
+/// Solo (M = 1) and batched-ensemble runs: one EnsembleRunner, one step
+/// loop and one checkpoint/restart path for every M. Bad input (namelist,
+/// restart file) exits 2 before the first step.
+int runModel(const grist::Config& config, int steps, int members,
+             std::uint64_t perturb_seed, const CkptOpts& ckpt) {
   using namespace grist;
-  std::unique_ptr<core::EnsembleBundle> bundle =
-      core::makeEnsembleFromConfig(config, members, perturb_seed);
-  core::EnsembleRunner& runner = *bundle->runner;
-  const int report = std::max(1, config.getInt("report_interval", 12));
-  std::printf(
-      "ensemble: %d members, scheme %s, grid G%d (%d cells), %d steps, "
-      "seed %llu\n",
-      runner.members(), config.getString("scheme", "DP-PHY").c_str(),
-      config.getInt("grid_level", 4), bundle->mesh.ncells, steps,
-      static_cast<unsigned long long>(perturb_seed));
-
-  // Area-weighted global mean of the per-cell ensemble-mean ps.
-  const auto global_mean_ps = [&] {
-    const std::vector<double> ps = runner.meanSurfacePressure();
-    double num = 0.0, den = 0.0;
-    for (Index c = 0; c < bundle->mesh.ncells; ++c) {
-      num += ps[static_cast<std::size_t>(c)] * bundle->mesh.cell_area[c];
-      den += bundle->mesh.cell_area[c];
+  std::unique_ptr<core::EnsembleBundle> bundle;
+  int report = 0;
+  std::string restart_out;
+  try {
+    bundle = core::makeEnsembleFromConfig(config, members, perturb_seed);
+    report = std::max(1, config.getInt("report_interval", 12));
+    restart_out = config.getString("restart_out", "");
+    // --restart takes precedence over the namelist's restart_in; both accept
+    // snapshot (v2) and legacy GRISTSW1 files through the same reader.
+    const std::string restart_in =
+        !ckpt.restart.empty() ? ckpt.restart
+                              : config.getString("restart_in", "");
+    if (!restart_in.empty()) {
+      bundle->runner->restore(io::Snapshot::read(restart_in));
+      std::printf("resumed from %s at sim day %.3f (step %ld)\n",
+                  restart_in.c_str(), bundle->runner->simDays(),
+                  bundle->runner->dynSteps());
     }
-    return num / den;
-  };
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "grist_run: %s\n", e.what());
+    return 2;
+  }
+  core::EnsembleRunner& runner = *bundle->runner;
+  const grid::HexMesh& mesh = bundle->mesh;
+  const core::ModelConfig& mc = runner.config().model;
+  const int M = runner.members();
+  std::printf("scheme %s, grid G%d (%d cells), %d steps",
+              core::schemeLabel(mc.dyn.ns, mc.scheme), mesh.level, mesh.ncells,
+              steps);
+  if (M > 1) {
+    std::printf(", %d members, seed %llu", M,
+                static_cast<unsigned long long>(perturb_seed));
+  }
+  std::printf("\n");
 
+  const double start_seconds = runner.simSeconds();
   Timer timer;
   for (int s = 0; s < steps; ++s) {
     runner.step();
+    if (ckpt.every > 0 && ((s + 1) % ckpt.every == 0 || s + 1 == steps)) {
+      const std::string path =
+          io::writeCheckpoint(ckpt.dir, runner.snapshot(), runner.dynSteps());
+      std::printf("checkpoint: step %ld -> %s\n", runner.dynSteps(),
+                  path.c_str());
+    }
     if ((s + 1) % report == 0) {
-      std::printf(
-          "step %6d  sim day %8.3f  mean ps %9.1f Pa  spread %.4e Pa\n",
-          s + 1, runner.simDays(), global_mean_ps(), runner.globalSpread());
+      // Member 0's KE and rain, plus the area-weighted surface-pressure
+      // spread across members.
+      double rain_max = 0;
+      for (const double r : runner.meanPrecipRate(0)) rain_max = std::max(rain_max, r);
+      std::printf("step %6d  sim day %8.3f  KE %.4e  max rain %7.2f mm/d", s + 1,
+                  runner.simDays(),
+                  dycore::totalKineticEnergy(mesh, runner.state(0)), rain_max);
+      if (M > 1) std::printf("  spread %.4e Pa", runner.globalSpread());
+      std::printf("\n");
     }
   }
   const double wall = timer.elapsed();
-  const double member_days = runner.members() * runner.simDays();
+  const double days = (runner.simSeconds() - start_seconds) / 86400.0;
   std::printf(
-      "done: %d members x %.3f simulated days in %.1f s wall "
-      "(%.1f member-SDPD on this host)\n",
-      runner.members(), runner.simDays(), wall,
-      member_days / (wall / 86400.0));
+      "done: %d member(s) x %.3f simulated days in %.1f s wall (%.1f %s on "
+      "this host)\n",
+      M, days, wall, M * days / (wall / 86400.0), M > 1 ? "member-SDPD" : "SDPD");
+
+  if (!restart_out.empty()) {
+    runner.snapshot().write(restart_out);
+    std::printf("restart written to %s\n", restart_out.c_str());
+  }
   return 0;
 }
 
@@ -361,13 +403,6 @@ int main(int argc, char** argv) {
                  "--transport shm)\n");
     return 2;
   }
-  if (ensemble > 0 &&
-      (ckpt.every > 0 || !ckpt.dir.empty() || !ckpt.restart.empty())) {
-    std::fprintf(stderr,
-                 "grist_run: --ensemble does not combine with "
-                 "checkpoint/restart flags\n");
-    return 2;
-  }
   Config config;
   try {
     config = Config::fromFile(pos[0]);
@@ -375,85 +410,23 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "grist_run: %s\n", e.what());
     return 2;
   }
-  const int steps =
-      pos.size() > 1
-          ? parseArg("steps", pos[1], 0, kMaxInt, "a step count >= 0")
-          : config.getInt("steps", 48);
-
-  if (ensemble > 0) {
-    try {
-      return runEnsemble(config, steps, ensemble, perturb_seed);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "grist_run: %s\n", e.what());
-      return 2;
-    }
-  }
-
-  if (ranks > 1 || transport == "shm") {
-    try {
+  // Configuration errors (malformed namelist numbers included) exit 2 in
+  // every mode; a failure while stepping exits 1.
+  try {
+    const int steps =
+        pos.size() > 1
+            ? parseArg("steps", pos[1], 0, kMaxInt, "a step count >= 0")
+            : config.getInt("steps", 48);
+    if (ranks > 1 || transport == "shm") {
       return runMultiRank(config, steps, ranks, transport, pin, wire_latency,
                           ckpt);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "grist_run: %s\n", e.what());
-      return 1;
     }
-  }
-
-  std::unique_ptr<core::ModelBundle> bundle;
-  try {
-    bundle = core::makeModelFromConfig(config);
-  } catch (const std::exception& e) {
+    return runModel(config, steps, std::max(1, ensemble), perturb_seed, ckpt);
+  } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "grist_run: %s\n", e.what());
     return 2;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "grist_run: %s\n", e.what());
+    return 1;
   }
-  core::Model& model = *bundle->model;
-  const grid::HexMesh& mesh = bundle->mesh;
-
-  // --restart takes precedence over the namelist's restart_in; both accept
-  // snapshot (v2) and legacy GRISTSW1 files through the same reader.
-  const std::string restart_in =
-      !ckpt.restart.empty() ? ckpt.restart : config.getString("restart_in", "");
-  if (!restart_in.empty()) {
-    try {
-      model.restore(io::Snapshot::read(restart_in));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "grist_run: %s\n", e.what());
-      return 2;
-    }
-    std::printf("resumed from %s at sim day %.3f (step %ld)\n",
-                restart_in.c_str(), model.simDays(), model.dynSteps());
-  }
-
-  const int report = std::max(1, config.getInt("report_interval", 12));
-  std::printf("scheme %s, grid G%d (%d cells), %d steps\n", model.schemeName(),
-              config.getInt("grid_level", 4), mesh.ncells, steps);
-
-  Timer timer;
-  for (int s = 0; s < steps; ++s) {
-    model.step();
-    if (ckpt.every > 0 &&
-        ((s + 1) % ckpt.every == 0 || s + 1 == steps)) {
-      const std::string path =
-          io::writeCheckpoint(ckpt.dir, model.snapshot(), model.dynSteps());
-      std::printf("checkpoint: step %ld -> %s\n", model.dynSteps(),
-                  path.c_str());
-    }
-    if ((s + 1) % report == 0) {
-      double rain_max = 0;
-      for (const double r : model.meanPrecipRate()) rain_max = std::max(rain_max, r);
-      std::printf("step %6d  sim day %8.3f  KE %.4e  max rain %7.2f mm/d\n", s + 1,
-                  model.simDays(), dycore::totalKineticEnergy(mesh, model.state()),
-                  rain_max);
-    }
-  }
-  const double wall = timer.elapsed();
-  std::printf("done: %.3f simulated days in %.1f s wall (%.1f SDPD on this host)\n",
-              model.simDays(), wall, model.simDays() / (wall / 86400.0));
-
-  const std::string restart_out = config.getString("restart_out", "");
-  if (!restart_out.empty()) {
-    io::writeRestart(restart_out, model.state(), model.tskin(), model.simSeconds());
-    std::printf("restart written to %s\n", restart_out.c_str());
-  }
-  return 0;
 }

@@ -23,6 +23,8 @@ class Config {
   bool has(const std::string& key) const;
 
   std::string getString(const std::string& key, const std::string& fallback) const;
+  /// The value must be one whole number (common::parseNumber): "20x", "3.5"
+  /// for an int, or "" throw std::invalid_argument naming key and value.
   int getInt(const std::string& key, int fallback) const;
   double getDouble(const std::string& key, double fallback) const;
   bool getBool(const std::string& key, bool fallback) const;

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cctype>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+
+#include "grist/common/parse.hpp"
 
 namespace grist {
 namespace {
@@ -20,6 +23,18 @@ std::string lower(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(),
                  [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
   return s;
+}
+
+/// The whole value as a T (common::parseNumber's strict grammar), or
+/// std::invalid_argument naming the key and the value.
+template <class T>
+T strictNumber(const std::string& key, const std::string& value) {
+  if (const auto v = common::parseNumber(value, std::numeric_limits<T>::lowest(),
+                                         std::numeric_limits<T>::max())) {
+    return *v;
+  }
+  throw std::invalid_argument("Config: invalid number for '" + key + "': '" +
+                              value + "'");
 }
 
 } // namespace
@@ -79,12 +94,12 @@ std::string Config::getString(const std::string& key, const std::string& fallbac
 
 int Config::getInt(const std::string& key, int fallback) const {
   const auto v = find(key);
-  return v ? std::stoi(*v) : fallback;
+  return v ? strictNumber<int>(key, *v) : fallback;
 }
 
 double Config::getDouble(const std::string& key, double fallback) const {
   const auto v = find(key);
-  return v ? std::stod(*v) : fallback;
+  return v ? strictNumber<double>(key, *v) : fallback;
 }
 
 bool Config::getBool(const std::string& key, bool fallback) const {

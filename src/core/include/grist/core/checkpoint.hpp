@@ -1,6 +1,7 @@
 // The one checkpoint/restore API shared by every runner of the multi-rank
 // dynamics step (ParallelModel's in-process pool and MpSession's per-rank
-// OS processes) and by grist_run's driver loop.
+// OS processes), by grist_run's driver loop, and (for CONFIG validation) by
+// EnsembleRunner::snapshot()/restore().
 //
 // The elastic property: captureDynRun writes the GLOBAL canonical state
 // (gathered through the decomposition), so the checkpoint carries no trace
@@ -11,8 +12,9 @@
 // invariant of the step itself, the resumed run is bitwise identical to an
 // unbroken one at either rank count.
 //
-// Model (the full physics-coupled driver) has its own richer pair --
-// Model::snapshot()/restore() -- built from the same io::Snapshot sections.
+// The physics-coupled runner (EnsembleRunner, and Model as its one-member
+// facade) writes the same sections plus LAND, DIAG, MEMBER and MLWT, and
+// validates CONFIG through validateDynSnapshot + configMismatch below.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +30,10 @@ namespace grist::core {
 io::ConfigSection dynConfigSection(const dycore::DycoreConfig& cfg,
                                    int grid_level, int ntracers, Index nranks,
                                    std::uint64_t partition_fingerprint);
+
+/// Throw std::runtime_error "restart: CONFIG mismatch: <field> <have>
+/// (checkpoint) vs <want> (run)".
+[[noreturn]] void configMismatch(const char* field, double have, double want);
 
 /// Validate the bitwise-relevant CONFIG fields (grid_level, nlev, ntracers,
 /// dt, NS mode) and STATE presence/shape against the resuming run. Throws

@@ -1,8 +1,10 @@
-// Batched ensemble execution engine: step M model members as ONE fused
-// workload instead of M independent Model instances.
+// The step engine: M model members stepped as ONE fused workload. Every
+// physics-coupled run goes through it -- a solo Model is its one-member
+// facade (model.hpp), and grist_run drives solo and --ensemble M runs
+// through the same loop and checkpoint/restart path.
 //
 // What is shared, held exactly once:
-//   - mesh + TRSK weights (borrowed, like Model),
+//   - mesh + TRSK weights (borrowed),
 //   - the trained Q1Q2Net/RadMlp via shared_ptr -- including their quant
 //     caches, so bf16/int8 weight packing happens once for all members,
 //   - one M-member Dycore: a single set of transient dycore scratch fields
@@ -19,19 +21,55 @@
 // the tracer-window accumulators, and the perturbation seed.
 //
 // The contract: every member's full trajectory is BITWISE identical to the
-// same (seed-matched) initial state run solo through Model, in DP and MIX,
-// fp32 and quantized ML physics (ctest -L ENSEMBLE). Warm steps are
-// heap-free (alloc-guard test).
+// same (seed-matched) initial state run solo, in DP and MIX, fp32 and
+// quantized ML physics (ctest -L ENSEMBLE), and a checkpoint taken at any
+// step resumes every member bitwise. Warm steps are heap-free (alloc-guard
+// test).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "grist/core/model.hpp"
+#include "grist/coupler/coupler.hpp"
 #include "grist/dycore/dycore.hpp"
+#include "grist/grid/trsk.hpp"
+#include "grist/io/snapshot.hpp"
+#include "grist/ml/ml_suite.hpp"
+#include "grist/physics/suite.hpp"
 
 namespace grist::core {
+
+enum class PhysicsScheme { kConventional, kMl, kHeldSuarez };
+
+/// Table 3 scheme labels.
+inline const char* schemeLabel(precision::NsMode ns, PhysicsScheme physics) {
+  if (physics == PhysicsScheme::kHeldSuarez) {
+    return ns == precision::NsMode::kDouble ? "DP-HS" : "MIX-HS";
+  }
+  if (ns == precision::NsMode::kDouble) {
+    return physics == PhysicsScheme::kConventional ? "DP-PHY" : "DP-ML";
+  }
+  return physics == PhysicsScheme::kConventional ? "MIX-PHY" : "MIX-ML";
+}
+
+/// Default land initialization (zonally symmetric SST-like profile) of
+/// every member.
+std::vector<double> initialSkinTemperature(const grid::HexMesh& mesh);
+
+/// One member's configuration: the paper's timestep hierarchy (Table 2:
+/// Dyn/Trac/Phy/Rad) and scheme matrix (Table 3: DP/MIX x PHY/ML).
+struct ModelConfig {
+  dycore::DycoreConfig dyn;      ///< includes ns (DP vs MIX) and dt
+  int trac_interval = 8;         ///< dynamics steps per tracer step
+  int phy_interval = 15;         ///< dynamics steps per physics step
+  PhysicsScheme scheme = PhysicsScheme::kConventional;
+  physics::ConventionalSuiteConfig conventional;  ///< incl. Phy:Rad cadence
+  ml::MlSuiteConfig ml;
+  /// Trained networks; required when scheme == kMl.
+  std::shared_ptr<const ml::Q1Q2Net> q1q2;
+  std::shared_ptr<const ml::RadMlp> rad_mlp;
+};
 
 struct EnsembleConfig {
   ModelConfig model;             ///< shared per-member configuration
@@ -46,11 +84,13 @@ struct EnsembleConfig {
 
 class EnsembleRunner {
  public:
-  /// Every member starts from `initial`; when perturb_seed != 0, member m's
+  /// Every member starts from `initial` (moved into the last member, so a
+  /// one-member runner holds one copy); when perturb_seed != 0, member m's
   /// theta field is perturbed with memberSeed(perturb_seed, m) before the
-  /// first step. Mesh/weights must outlive the runner.
+  /// first step. State must carry >= 3 tracers (qv, qc, qr). Mesh/weights
+  /// must outlive the runner.
   EnsembleRunner(const grid::HexMesh& mesh, const grid::TrskWeights& trsk,
-                 EnsembleConfig config, const dycore::State& initial);
+                 EnsembleConfig config, dycore::State initial);
 
   /// Advance all members one dynamics step (tracer transport and physics
   /// fire on their cadences, batched across members).
@@ -61,16 +101,41 @@ class EnsembleRunner {
   const dycore::State& state(int m) const {
     return states_[static_cast<std::size_t>(m)];
   }
+  dycore::State& state(int m) { return states_[static_cast<std::size_t>(m)]; }
   const std::vector<double>& tskin(int m) const {
     return tskin_[static_cast<std::size_t>(m)];
   }
+  /// Replace member m's land state (size must be ncells).
+  void setTskin(int m, std::vector<double> tskin);
+  /// Member m's accumulated precipitation since the run started, mm, per cell.
   const std::vector<double>& accumulatedPrecip(int m) const {
     return precip_accum_[static_cast<std::size_t>(m)];
   }
+  /// Member m's mean precipitation RATE over the simulated period, mm/day.
+  std::vector<double> meanPrecipRate(int m) const;
   double simSeconds() const { return sim_seconds_; }
   double simDays() const { return sim_seconds_ / 86400.0; }
+  void setSimSeconds(double seconds) { sim_seconds_ = seconds; }
   long dynSteps() const { return dyn_steps_; }
   const EnsembleConfig& config() const { return config_; }
+  dycore::Dycore& dycore() { return edy_; }
+
+  /// Re-synchronize the accumulators after the states were replaced from
+  /// outside (resets the mass-flux window and the step count). Exact when
+  /// the replacement happened at a tracer-step boundary.
+  void resyncAfterRestart();
+
+  /// Capture everything a bitwise resume of every member needs. Member 0
+  /// fills STATE + LAND + DIAG (accumulator windows, so mid-tracer-window
+  /// checkpoints are exact), members 1..M-1 one MEMBER section each; CLOCK
+  /// + CONFIG, and MLWT weight provenance under the ML scheme, are shared.
+  io::Snapshot snapshot() const;
+  /// Restore from a snapshot (including legacy GRISTSW1 conversions).
+  /// Validates CONFIG (validateDynSnapshot + the two cadences), MLWT
+  /// fingerprints and the member count, throwing std::runtime_error naming
+  /// the mismatch. With DIAG the resume is bitwise anywhere in the cadence;
+  /// without it (legacy files) the windows restart from the restored state.
+  void restore(const io::Snapshot& snap);
 
   /// Deterministic per-member seed derivation (splitmix64 over the base
   /// seed), shared with solo reruns of a single member.
@@ -94,6 +159,7 @@ class EnsembleRunner {
  private:
   void tracerStep();
   void physicsStep();
+  void resetWindows();
 
   const grid::HexMesh& mesh_;
   EnsembleConfig config_;
@@ -102,14 +168,11 @@ class EnsembleRunner {
   std::vector<dycore::State> states_;
   std::vector<dycore::State*> state_ptrs_;
 
-  // Fused-suite mode: one suite + one M*ncells-column batch.
-  std::unique_ptr<physics::PhysicsSuite> fused_suite_;
-  std::unique_ptr<physics::PhysicsInput> fused_in_;
-  std::unique_ptr<physics::PhysicsOutput> fused_out_;
-  // Per-member mode: M suites + M ncells-column batches.
-  std::vector<std::unique_ptr<physics::PhysicsSuite>> member_suites_;
-  std::vector<physics::PhysicsInput> member_in_;
-  std::vector<physics::PhysicsOutput> member_out_;
+  // One suite + one M*ncells-column batch (cross-member GEMMs), or M
+  // suites + M ncells-column batches.
+  std::vector<std::unique_ptr<physics::PhysicsSuite>> suites_;
+  std::vector<physics::PhysicsInput> phys_in_;
+  std::vector<physics::PhysicsOutput> phys_out_;
 
   std::vector<parallel::Field> delp_at_tracer_start_;
   parallel::Field mean_flux_scratch_;

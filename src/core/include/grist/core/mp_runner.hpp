@@ -19,8 +19,9 @@
 //                      (this binary, re-entered via maybeRunWorker), then
 //                      drives them through a shared control block --
 //                      run(n), gather() (owned state + per-rank hashes,
-//                      OpenMP team sizes and stepping seconds + CommStats
-//                      through a shared result segment), and teardown with
+//                      OpenMP team sizes, stepping and halo-wait seconds +
+//                      CommStats through a shared result segment), and
+//                      teardown with
 //                      exit-code propagation and segment unlink. A rank
 //                      that dies mid-run fails the whole session instead
 //                      of wedging it. Each rank's OpenMP team is sized to
@@ -87,6 +88,8 @@ class RankProcessModel {
 
   void setWireLatency(double seconds) { comm_.setWireLatency(seconds); }
   parallel::CommStats commStats() const { return comm_.stats(); }
+  /// Seconds spent blocked in the step's halo wait() so far.
+  double waitSeconds() const { return wait_seconds_; }
   Index rank() const { return rank_; }
   const dycore::State& localState() const { return state_; }
   const parallel::LocalDomain& domain() const;
@@ -112,6 +115,7 @@ class RankProcessModel {
   dycore::State state_;
   parallel::ExchangeList list_;
   dycore::Dycore::OverlapHooks hooks_;
+  double wait_seconds_ = 0.0;
 };
 
 /// Offsets into the shared control/result segment, computed identically by
@@ -120,7 +124,7 @@ struct ResultLayout {
   Index nranks = 0, ncells = 0, nedges = 0;
   int nlev = 0, ntracers = 0;
   std::size_t hashes_off = 0;
-  std::size_t threads_off = 0, step_s_off = 0;  ///< per-rank int64 / double
+  std::size_t threads_off = 0, step_s_off = 0, wait_s_off = 0;  ///< per-rank int64 / double / double
   std::size_t delp_off = 0, theta_off = 0, w_off = 0, phi_off = 0, u_off = 0;
   std::size_t tracers_off = 0;
   std::size_t total = 0;
@@ -155,8 +159,13 @@ class MpSession {
   std::uint64_t rankHash(Index rank) const { return hashes_.at(static_cast<std::size_t>(rank)); }
   /// Rank r's OpenMP team size, as the worker reported it at the last gather.
   int rankThreads(Index rank) const { return threads_.at(static_cast<std::size_t>(rank)); }
-  /// Seconds rank r spent in run() commands up to the last gather.
+  /// Seconds rank r spent in run() commands up to the last gather: its
+  /// compute seconds plus its halo-wait seconds.
   double rankStepSeconds(Index rank) const { return step_s_.at(static_cast<std::size_t>(rank)); }
+  /// The part of rankStepSeconds(r) spent blocked in the halo wait().
+  double rankWaitSeconds(Index rank) const { return wait_s_.at(static_cast<std::size_t>(rank)); }
+  /// rankStepSeconds(r) minus rankWaitSeconds(r): the rank's own work.
+  double rankComputeSeconds(Index rank) const { return rankStepSeconds(rank) - rankWaitSeconds(rank); }
   /// Rank r's process id (valid until the session is destroyed).
   pid_t rankPid(Index rank) const { return pids_.at(static_cast<std::size_t>(rank)); }
 
@@ -181,6 +190,7 @@ class MpSession {
   std::vector<std::uint64_t> hashes_;
   std::vector<int> threads_;
   std::vector<double> step_s_;
+  std::vector<double> wait_s_;
   parallel::CommStats stats_{};
 };
 

@@ -21,34 +21,34 @@ io::ConfigSection dynConfigSection(const dycore::DycoreConfig& cfg,
   return cs;
 }
 
+void configMismatch(const char* field, double have, double want) {
+  throw std::runtime_error("restart: CONFIG mismatch: " + std::string(field) +
+                           " " + std::to_string(have) + " (checkpoint) vs " +
+                           std::to_string(want) + " (run)");
+}
+
 void validateDynSnapshot(const io::Snapshot& snap,
                          const dycore::DycoreConfig& cfg, int grid_level,
                          Index ncells, Index nedges, int ntracers) {
   if (!snap.state) {
     throw std::runtime_error("restart: snapshot has no STATE section");
   }
-  const auto mismatch = [](const char* field, double have, double want) {
-    throw std::runtime_error("restart: CONFIG mismatch: " +
-                             std::string(field) + " " + std::to_string(have) +
-                             " (checkpoint) vs " + std::to_string(want) +
-                             " (run)");
-  };
   if (snap.config) {
     const io::ConfigSection& cs = *snap.config;
     if (cs.grid_level >= 0 && cs.grid_level != grid_level) {
-      mismatch("grid_level", cs.grid_level, grid_level);
+      configMismatch("grid_level", cs.grid_level, grid_level);
     }
-    if (cs.nlev != cfg.nlev) mismatch("nlev", cs.nlev, cfg.nlev);
-    if (cs.ntracers != ntracers) mismatch("ntracers", cs.ntracers, ntracers);
-    if (cs.dt != cfg.dt) mismatch("dt", cs.dt, cfg.dt);
+    if (cs.nlev != cfg.nlev) configMismatch("nlev", cs.nlev, cfg.nlev);
+    if (cs.ntracers != ntracers) configMismatch("ntracers", cs.ntracers, ntracers);
+    if (cs.dt != cfg.dt) configMismatch("dt", cs.dt, cfg.dt);
     const std::uint8_t ns = cfg.ns == precision::NsMode::kSingle ? 1 : 0;
-    if (cs.ns_single != ns) mismatch("ns_single", cs.ns_single, ns);
+    if (cs.ns_single != ns) configMismatch("ns_single", cs.ns_single, ns);
   }
   const io::StateSection& s = *snap.state;
-  if (s.ncells != ncells) mismatch("ncells", static_cast<double>(s.ncells), ncells);
-  if (s.nedges != nedges) mismatch("nedges", static_cast<double>(s.nedges), nedges);
-  if (s.nlev != cfg.nlev) mismatch("nlev", s.nlev, cfg.nlev);
-  if (s.ntracers != ntracers) mismatch("ntracers", s.ntracers, ntracers);
+  if (s.ncells != ncells) configMismatch("ncells", static_cast<double>(s.ncells), ncells);
+  if (s.nedges != nedges) configMismatch("nedges", static_cast<double>(s.nedges), nedges);
+  if (s.nlev != cfg.nlev) configMismatch("nlev", s.nlev, cfg.nlev);
+  if (s.ntracers != ntracers) configMismatch("ntracers", s.ntracers, ntracers);
 }
 
 io::Snapshot captureDynRun(const dycore::State& global,

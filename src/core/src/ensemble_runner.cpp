@@ -1,9 +1,12 @@
 #include "grist/core/ensemble_runner.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "grist/common/math.hpp"
+#include "grist/core/checkpoint.hpp"
 #include "grist/dycore/tracer.hpp"
 #include "grist/dycore/vertical_remap.hpp"
 #include "grist/physics/held_suarez.hpp"
@@ -20,6 +23,18 @@ std::uint64_t splitmix64(std::uint64_t x) {
 }
 
 } // namespace
+
+std::vector<double> initialSkinTemperature(const grid::HexMesh& mesh) {
+  // Zonally symmetric SST-like profile: warm tropics, cold poles. Every
+  // member starts from the same land state (a parity precondition for the
+  // ENSEMBLE bitwise gate).
+  std::vector<double> tskin(mesh.ncells);
+  for (Index c = 0; c < mesh.ncells; ++c) {
+    const double lat = mesh.cell_ll[c].lat;
+    tskin[c] = 302.0 - 32.0 * std::pow(std::sin(lat), 2.0);
+  }
+  return tskin;
+}
 
 std::uint64_t EnsembleRunner::memberSeed(std::uint64_t base, int member) {
   return splitmix64(base ^ (0x9E3779B97F4A7C15ull *
@@ -42,7 +57,7 @@ void EnsembleRunner::perturbState(dycore::State& state, std::uint64_t seed,
 EnsembleRunner::EnsembleRunner(const grid::HexMesh& mesh,
                                const grid::TrskWeights& trsk,
                                EnsembleConfig config,
-                               const dycore::State& initial)
+                               dycore::State initial)
     : mesh_(mesh),
       config_(std::move(config)),
       edy_(mesh, trsk, config_.model.dyn, config_.members),
@@ -74,7 +89,11 @@ EnsembleRunner::EnsembleRunner(const grid::HexMesh& mesh,
   tskin_.reserve(mm);
   precip_accum_.reserve(mm);
   for (int m = 0; m < M; ++m) {
-    states_.push_back(initial);
+    if (m + 1 < M) {
+      states_.push_back(initial);
+    } else {
+      states_.push_back(std::move(initial));
+    }
     if (config_.perturb_seed != 0) {
       perturbState(states_.back(), memberSeed(config_.perturb_seed, m),
                    config_.perturb_amplitude);
@@ -100,20 +119,13 @@ EnsembleRunner::EnsembleRunner(const grid::HexMesh& mesh,
     return std::make_unique<physics::ConventionalSuite>(ncolumns, nlev,
                                                         mc.conventional);
   };
-  if (config_.cross_member_gemm && mc.scheme == PhysicsScheme::kMl) {
-    const Index ncol = mesh.ncells * M;
-    fused_suite_ = makeSuite(ncol);
-    fused_in_ = std::make_unique<physics::PhysicsInput>(ncol, nlev);
-    fused_out_ = std::make_unique<physics::PhysicsOutput>(ncol, nlev);
-  } else {
-    member_suites_.reserve(mm);
-    member_in_.reserve(mm);
-    member_out_.reserve(mm);
-    for (int m = 0; m < M; ++m) {
-      member_suites_.push_back(makeSuite(mesh.ncells));
-      member_in_.emplace_back(mesh.ncells, nlev);
-      member_out_.emplace_back(mesh.ncells, nlev);
-    }
+  const int nsuites =
+      config_.cross_member_gemm && mc.scheme == PhysicsScheme::kMl ? 1 : M;
+  const Index ncol = mesh.ncells * (M / nsuites);
+  for (int g = 0; g < nsuites; ++g) {
+    suites_.push_back(makeSuite(ncol));
+    phys_in_.emplace_back(ncol, nlev);
+    phys_out_.emplace_back(ncol, nlev);
   }
   edy_.resetAccumulatedFlux();
 }
@@ -160,48 +172,161 @@ void EnsembleRunner::physicsStep() {
   const ModelConfig& mc = config_.model;
   const double dt_phy = mc.phy_interval * mc.dyn.dt;
   const Index ncells = mesh_.ncells;
-
-  if (fused_suite_) {
-    // One M*ncells-column batch: member m occupies columns [m*ncells,
-    // (m+1)*ncells). Per-column physics is independent and predictBatch is
-    // block-composition-invariant, so each member's columns get bitwise
-    // the same treatment they would get solo.
-    for (int m = 0; m < config_.members; ++m) {
-      coupler_.stateToPhysics(states_[static_cast<std::size_t>(m)],
-                              tskin_[static_cast<std::size_t>(m)],
-                              sim_seconds_, *fused_in_, ncells * m);
+  // Suite g batches `per_suite` consecutive members; member m's columns sit
+  // at [j*ncells, (j+1)*ncells) of its batch, j = m - g*per_suite.
+  // Per-column physics is independent and predictBatch is block-
+  // composition-invariant, so each member's columns get bitwise the same
+  // treatment they would get in a batch of their own.
+  const int per_suite = config_.members / static_cast<int>(suites_.size());
+  for (std::size_t g = 0; g < suites_.size(); ++g) {
+    const int m0 = static_cast<int>(g) * per_suite;
+    for (int j = 0; j < per_suite; ++j) {
+      const std::size_t mi = static_cast<std::size_t>(m0 + j);
+      coupler_.stateToPhysics(states_[mi], tskin_[mi], sim_seconds_,
+                              phys_in_[g], ncells * j);
     }
-    fused_suite_->run(*fused_in_, dt_phy, *fused_out_);
-    for (int m = 0; m < config_.members; ++m) {
-      const std::size_t mi = static_cast<std::size_t>(m);
-      const Index col0 = ncells * m;
-      coupler_.applyTendencies(*fused_out_, col0, dt_phy, states_[mi]);
-      std::copy(fused_out_->tskin_new.begin() + col0,
-                fused_out_->tskin_new.begin() + col0 + ncells,
-                tskin_[mi].begin());
+    suites_[g]->run(phys_in_[g], dt_phy, phys_out_[g]);
+    const physics::PhysicsOutput& out = phys_out_[g];
+    for (int j = 0; j < per_suite; ++j) {
+      const std::size_t mi = static_cast<std::size_t>(m0 + j);
+      const Index col0 = ncells * j;
+      coupler_.applyTendencies(out, col0, dt_phy, states_[mi]);
+      std::copy(out.tskin_new.begin() + col0,
+                out.tskin_new.begin() + col0 + ncells, tskin_[mi].begin());
       for (Index c = 0; c < ncells; ++c) {
         precip_accum_[mi][static_cast<std::size_t>(c)] +=
-            fused_out_->precip[static_cast<std::size_t>(col0 + c)] * dt_phy /
-            86400.0;
+            out.precip[static_cast<std::size_t>(col0 + c)] * dt_phy / 86400.0;
       }
     }
-    return;
   }
+}
 
-  for (int m = 0; m < config_.members; ++m) {
+void EnsembleRunner::setTskin(int m, std::vector<double> tskin) {
+  if (static_cast<Index>(tskin.size()) != mesh_.ncells) {
+    throw std::invalid_argument("EnsembleRunner::setTskin: size mismatch");
+  }
+  tskin_[static_cast<std::size_t>(m)] = std::move(tskin);
+}
+
+std::vector<double> EnsembleRunner::meanPrecipRate(int m) const {
+  std::vector<double> rate = accumulatedPrecip(m);
+  const double days = simDays();
+  for (double& r : rate) r = days > 0 ? r / days : 0.0;
+  return rate;
+}
+
+void EnsembleRunner::resetWindows() {
+  edy_.resetAccumulatedFlux();
+  for (std::size_t m = 0; m < states_.size(); ++m) {
+    delp_at_tracer_start_[m] = states_[m].delp;
+  }
+}
+
+void EnsembleRunner::resyncAfterRestart() {
+  resetWindows();
+  dyn_steps_ = 0;
+}
+
+io::Snapshot EnsembleRunner::snapshot() const {
+  const ModelConfig& mc = config_.model;
+  const auto diag = [&](int m) {
     const std::size_t mi = static_cast<std::size_t>(m);
-    coupler_.stateToPhysics(states_[mi], tskin_[mi], sim_seconds_,
-                            member_in_[mi]);
-    member_suites_[mi]->run(member_in_[mi], dt_phy, member_out_[mi]);
-    coupler_.applyTendencies(member_out_[mi], dt_phy, states_[mi]);
-    std::copy(member_out_[mi].tskin_new.begin(),
-              member_out_[mi].tskin_new.end(), tskin_[mi].begin());
-    for (Index c = 0; c < ncells; ++c) {
-      precip_accum_[mi][static_cast<std::size_t>(c)] +=
-          member_out_[mi].precip[static_cast<std::size_t>(c)] * dt_phy /
-          86400.0;
+    io::DiagSection d;
+    d.ncells = mesh_.ncells;
+    d.nedges = mesh_.nedges;
+    d.nlev = mc.dyn.nlev;
+    d.acc_steps = edy_.accumulatedSteps();
+    const parallel::Field& af = edy_.accumulatedMassFlux(m);
+    d.acc_flux.assign(af.data(), af.data() + af.size());
+    const parallel::Field& dp = delp_at_tracer_start_[mi];
+    d.delp_at_tracer_start.assign(dp.data(), dp.data() + dp.size());
+    d.precip_accum = precip_accum_[mi];
+    return d;
+  };
+  io::Snapshot snap;
+  snap.state = io::StateSection::capture(states_[0]);
+  snap.land = tskin_[0];
+  snap.clock = io::ClockSection{sim_seconds_, dyn_steps_};
+  snap.diag = diag(0);
+  for (int m = 1; m < config_.members; ++m) {
+    const std::size_t mi = static_cast<std::size_t>(m);
+    snap.members.push_back(
+        {io::StateSection::capture(states_[mi]), tskin_[mi], diag(m)});
+  }
+  snap.config = dynConfigSection(
+      mc.dyn, mesh_.level, static_cast<int>(states_[0].tracers.size()), 1, 0);
+  snap.config->trac_interval = mc.trac_interval;
+  snap.config->phy_interval = mc.phy_interval;
+  if (mc.scheme == PhysicsScheme::kMl) {
+    io::MlWeightsSection ml;
+    ml.q1q2_fingerprint = mc.q1q2->weightFingerprint();
+    ml.rad_fingerprint = mc.rad_mlp->weightFingerprint();
+    ml.q1q2_bf16_version = mc.q1q2->quantizedVersion(ml::Precision::kBf16);
+    ml.q1q2_int8_version = mc.q1q2->quantizedVersion(ml::Precision::kInt8);
+    ml.rad_bf16_version = mc.rad_mlp->quantizedVersion(ml::Precision::kBf16);
+    ml.rad_int8_version = mc.rad_mlp->quantizedVersion(ml::Precision::kInt8);
+    snap.ml = ml;
+  }
+  return snap;
+}
+
+void EnsembleRunner::restore(const io::Snapshot& snap) {
+  const ModelConfig& mc = config_.model;
+  validateDynSnapshot(snap, mc.dyn, mesh_.level, mesh_.ncells, mesh_.nedges,
+                      static_cast<int>(states_[0].tracers.size()));
+  if (snap.config) {
+    if (snap.config->trac_interval != mc.trac_interval) {
+      configMismatch("trac_interval", snap.config->trac_interval, mc.trac_interval);
+    }
+    if (snap.config->phy_interval != mc.phy_interval) {
+      configMismatch("phy_interval", snap.config->phy_interval, mc.phy_interval);
     }
   }
+  if (snap.ml && mc.scheme == PhysicsScheme::kMl) {
+    const auto check = [](std::uint64_t have, std::uint64_t want, const char* net) {
+      if (have != want) {
+        throw std::runtime_error(std::string("restart: MLWT mismatch: ") + net +
+                                 " weight fingerprint differs from the "
+                                 "checkpointed net");
+      }
+    };
+    check(snap.ml->q1q2_fingerprint, mc.q1q2->weightFingerprint(), "q1q2");
+    check(snap.ml->rad_fingerprint, mc.rad_mlp->weightFingerprint(), "rad_mlp");
+  }
+  const std::size_t stored = 1 + snap.members.size();
+  if (stored != states_.size()) {
+    throw std::runtime_error("restart: snapshot holds " + std::to_string(stored) +
+                             " members, this run has " +
+                             std::to_string(states_.size()));
+  }
+
+  if (snap.clock) {
+    sim_seconds_ = snap.clock->sim_seconds;
+    // Legacy files do not record the step count (-1): start a fresh cadence.
+    dyn_steps_ = snap.clock->dyn_steps >= 0 ? snap.clock->dyn_steps : 0;
+  }
+  // Member 0 lives in STATE/LAND/DIAG (LAND and DIAG are absent from
+  // legacy files), members 1..M-1 in their MEMBER records.
+  for (std::size_t mi = 0; mi < states_.size(); ++mi) {
+    const io::MemberSection* rec = mi == 0 ? nullptr : &snap.members[mi - 1];
+    const std::vector<double>* land =
+        rec ? &rec->land : snap.land ? &*snap.land : nullptr;
+    const io::DiagSection* d = rec ? &rec->diag : snap.diag ? &*snap.diag : nullptr;
+    (rec ? rec->state : *snap.state).restoreTo(states_[mi]);
+    if (land) setTskin(static_cast<int>(mi), *land);
+    if (!d) continue;
+    if (d->ncells != mesh_.ncells || d->nedges != mesh_.nedges ||
+        d->nlev != mc.dyn.nlev) {
+      throw std::runtime_error("restart: DIAG shape mismatch");
+    }
+    edy_.restoreAccumulatedFlux(static_cast<int>(mi), d->acc_flux, d->acc_steps);
+    std::copy(d->delp_at_tracer_start.begin(), d->delp_at_tracer_start.end(),
+              delp_at_tracer_start_[mi].data());
+    precip_accum_[mi] = d->precip_accum;
+  }
+  // No accumulator windows (legacy / dynamics-only snapshot): restart them
+  // from the restored state, exact only at tracer-step boundaries.
+  if (!snap.diag) resetWindows();
 }
 
 std::vector<double> EnsembleRunner::meanSurfacePressure() const {

@@ -118,7 +118,8 @@ std::unique_ptr<EnsembleBundle> makeEnsembleFromConfig(
   ecfg.cross_member_gemm = config.getInt("cross_member_gemm", 1) != 0;
   dycore::State initial = buildInitialState(config, bundle->mesh, ecfg.model);
   bundle->runner = std::make_unique<EnsembleRunner>(bundle->mesh, bundle->trsk,
-                                                    std::move(ecfg), initial);
+                                                    std::move(ecfg),
+                                                    std::move(initial));
   return bundle;
 }
 

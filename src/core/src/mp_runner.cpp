@@ -83,6 +83,8 @@ ResultLayout ResultLayout::compute(Index nranks, Index ncells, Index nedges,
   off = alignUp(off + static_cast<std::size_t>(nranks) * sizeof(std::int64_t));
   l.step_s_off = off;
   off = alignUp(off + static_cast<std::size_t>(nranks) * sizeof(double));
+  l.wait_s_off = off;
+  off = alignUp(off + static_cast<std::size_t>(nranks) * sizeof(double));
   l.delp_off = off;
   off = alignUp(off + nc * lev * sizeof(double));
   l.theta_off = off;
@@ -136,7 +138,13 @@ RankProcessModel::RankProcessModel(const grid::HexMesh& mesh,
   list_.addEdgeField(state_.u);
   comm_.planLocal(list_);
   hooks_.post = [this]() { comm_.post(rank_); };
-  hooks_.wait = [this]() { comm_.wait(rank_); };
+  hooks_.wait = [this]() {
+    const auto t0 = std::chrono::steady_clock::now();
+    comm_.wait(rank_);
+    wait_seconds_ += std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+  };
   // Initial halo fill, the distributed twin of ParallelModel's
   // construction-time collective exchange (same bytes, same seq bump, same
   // CommStats totals across the fleet).
@@ -266,6 +274,7 @@ int workerMain(const RunSpec& spec, Index rank, int threads) {
         reinterpret_cast<std::int64_t*>(base + lay.threads_off)[rank] =
             omp_get_max_threads();
         at(lay.step_s_off)[rank] = step_seconds;
+        at(lay.wait_s_off)[rank] = model.waitSeconds();
         if (rank == 0) {
           const parallel::CommStats st = model.commStats();
           c->messages = st.messages;
@@ -363,6 +372,7 @@ MpSession::MpSession(RunSpec spec)
   hashes_.assign(static_cast<std::size_t>(spec_.nranks), 0);
   threads_.assign(static_cast<std::size_t>(spec_.nranks), 0);
   step_s_.assign(static_cast<std::size_t>(spec_.nranks), 0.0);
+  wait_s_.assign(static_cast<std::size_t>(spec_.nranks), 0.0);
 
   char dt[40];
   std::snprintf(dt, sizeof(dt), "%.17g", spec_.dt);
@@ -476,11 +486,13 @@ void MpSession::refreshResults() {
   const auto* h = reinterpret_cast<const std::uint64_t*>(base + layout_.hashes_off);
   const auto* th = reinterpret_cast<const std::int64_t*>(base + layout_.threads_off);
   const auto* ss = reinterpret_cast<const double*>(base + layout_.step_s_off);
+  const auto* ws = reinterpret_cast<const double*>(base + layout_.wait_s_off);
   for (Index r = 0; r < spec_.nranks; ++r) {
     const auto i = static_cast<std::size_t>(r);
     hashes_[i] = h[r];
     threads_[i] = static_cast<int>(th[r]);
     step_s_[i] = ss[r];
+    wait_s_[i] = ws[r];
   }
   stats_.messages = c->messages;
   stats_.bytes = c->bytes;

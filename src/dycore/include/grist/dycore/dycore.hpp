@@ -87,10 +87,10 @@ class Dycore {
   /// Window-mean mass flux of member `m` (accumulator / accumulatedSteps())
   /// into `out` (edges x nlev); the tracer-transport input of every driver.
   void meanMassFlux(int m, double* out) const;
-  /// Overwrite the flux accumulator window (checkpoint restore: a snapshot
-  /// taken mid-tracer-window resumes bitwise). `flux` must be edges x nlev.
-  /// Requires members() == 1.
-  void restoreAccumulatedFlux(const parallel::Field& flux, int steps);
+  /// Overwrite member `m`'s flux accumulator window and the shared step
+  /// count (checkpoint restore: a snapshot taken mid-tracer-window resumes
+  /// bitwise). `flux` must hold edges x nlev values.
+  void restoreAccumulatedFlux(int m, const std::vector<double>& flux, int steps);
 
   const DycoreConfig& config() const { return config_; }
   const Bounds& bounds() const { return bounds_; }

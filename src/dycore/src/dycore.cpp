@@ -121,17 +121,16 @@ void Dycore::meanMassFlux(int m, double* out) const {
   for (std::size_t i = 0; i < acc.size(); ++i) out[i] = acc.data()[i] / nsub;
 }
 
-void Dycore::restoreAccumulatedFlux(const parallel::Field& flux, int steps) {
-  requireSolo("restoreAccumulatedFlux");
-  Field& acc = acc_flux_[0];
-  if (flux.entities() != acc.entities() ||
-      flux.components() != acc.components()) {
+void Dycore::restoreAccumulatedFlux(int m, const std::vector<double>& flux,
+                                    int steps) {
+  Field& acc = acc_flux_.at(static_cast<std::size_t>(m));
+  if (flux.size() != acc.size()) {
     throw std::invalid_argument("Dycore::restoreAccumulatedFlux: shape mismatch");
   }
   if (steps < 0) {
     throw std::invalid_argument("Dycore::restoreAccumulatedFlux: negative steps");
   }
-  std::copy(flux.data(), flux.data() + flux.size(), acc.data());
+  std::copy(flux.begin(), flux.end(), acc.data());
   acc_steps_ = steps;
 }
 

@@ -15,9 +15,13 @@
 //           per-rank scatter through parallel::Decomposition)
 //   LAND    skin temperature (ncells doubles)
 //   CLOCK   simulation seconds + dynamics step count
-//   DIAG    the Model accumulator windows (accumulated mass flux + step
+//   DIAG    the runner's accumulator windows (accumulated mass flux + step
 //           count, tracer-window start delp, precipitation accumulator) --
 //           what makes a MID-tracer-window checkpoint restore bitwise
+//   MEMBER  one per ensemble member after the first: that member's STATE,
+//           LAND and DIAG payloads back to back. STATE/LAND/DIAG hold
+//           member 0, so a one-member file has no MEMBER section and
+//           readers that skip MEMBER see member 0
 //   MLWT    ML weight fingerprints + QuantCache snapshot versions (PR 7
 //           lifecycle): restore refuses to resume against different nets
 //   CONFIG  run-configuration fingerprint (nlev, ntracers, dt, NS mode,
@@ -54,6 +58,7 @@ enum class SectionId : std::uint32_t {
   kDiag = 4,
   kMlWeights = 5,
   kConfig = 6,
+  kMember = 7,
 };
 
 /// Human-readable section name used in every error message.
@@ -88,8 +93,8 @@ struct ClockSection {
   std::int64_t dyn_steps = 0;
 };
 
-/// Model accumulator windows (see core/model.cpp): with these restored, a
-/// checkpoint taken mid-tracer-window continues bitwise.
+/// One member's accumulator windows (see core/ensemble_runner.cpp): with
+/// these restored, a checkpoint taken mid-tracer-window continues bitwise.
 struct DiagSection {
   std::int64_t ncells = 0;
   std::int64_t nedges = 0;
@@ -98,6 +103,13 @@ struct DiagSection {
   std::vector<double> acc_flux;            ///< nedges x nlev accumulated mass flux
   std::vector<double> delp_at_tracer_start;///< ncells x nlev
   std::vector<double> precip_accum;        ///< ncells, mm since run start
+};
+
+/// Ensemble member m >= 1: its prognostic state, tskin and windows.
+struct MemberSection {
+  StateSection state;
+  std::vector<double> land;
+  DiagSection diag;
 };
 
 /// ML-suite provenance: weight fingerprints (FNV-1a over all parameters and
@@ -120,8 +132,8 @@ struct ConfigSection {
   std::int32_t writer_nranks = 1;    ///< provenance: partition at write time
   std::int32_t nlev = 0;             ///< *
   std::int32_t ntracers = 0;         ///< *
-  std::int32_t trac_interval = 0;    ///< * when a Model restores (cadence phase)
-  std::int32_t phy_interval = 0;     ///< * when a Model restores
+  std::int32_t trac_interval = 0;    ///< * when a runner restores (cadence phase)
+  std::int32_t phy_interval = 0;     ///< * when a runner restores
   double dt = 0.0;                   ///< *
   std::uint8_t ns_single = 0;        ///< * NsMode: 1 = MIX, 0 = DP
   std::uint64_t partition_fingerprint = 0;  ///< provenance
@@ -153,6 +165,7 @@ class Snapshot {
   std::optional<DiagSection> diag;
   std::optional<MlWeightsSection> ml;
   std::optional<ConfigSection> config;
+  std::vector<MemberSection> members;  ///< ensemble members 1..M-1
 
   /// Atomic write: serialize, write `path.tmp`, fsync, rename over `path`.
   /// Throws std::runtime_error on any I/O failure (the .tmp is removed).

@@ -99,8 +99,7 @@ static_assert(sizeof(TableEntry) == 32);
 
 constexpr std::size_t kHeaderBytes = sizeof(std::uint64_t) + 2 * sizeof(std::uint32_t);
 
-std::vector<char> serializeState(const StateSection& s) {
-  Writer w;
+void serializeState(Writer& w, const StateSection& s) {
   w.pod(s.ncells);
   w.pod(s.nedges);
   w.pod(s.nlev);
@@ -111,19 +110,23 @@ std::vector<char> serializeState(const StateSection& s) {
   w.doubles(s.theta);
   w.doubles(s.phi);
   for (const auto& t : s.tracers) w.doubles(t);
-  return std::move(w.buf);
 }
 
-StateSection parseState(const std::vector<char>& buf, const std::string& path) {
-  Reader r(buf, SectionId::kState, path);
+/// Reader-level shape check; `r.section` names the enclosing section.
+void requireNonNegative(const Reader& r, bool ok) {
+  if (!ok) {
+    throw std::runtime_error("snapshot: negative shape in section " +
+                             std::string(sectionName(r.section)) + " in " + r.path);
+  }
+}
+
+StateSection parseState(Reader& r) {
   StateSection s;
   s.ncells = r.pod<std::int64_t>();
   s.nedges = r.pod<std::int64_t>();
   s.nlev = r.pod<std::int32_t>();
   s.ntracers = r.pod<std::int32_t>();
-  if (s.ncells < 0 || s.nedges < 0 || s.nlev < 0 || s.ntracers < 0) {
-    throw std::runtime_error("snapshot: negative shape in section STATE in " + path);
-  }
+  requireNonNegative(r, s.ncells >= 0 && s.nedges >= 0 && s.nlev >= 0 && s.ntracers >= 0);
   const std::size_t nc = static_cast<std::size_t>(s.ncells);
   const std::size_t ne = static_cast<std::size_t>(s.nedges);
   const std::size_t lev = static_cast<std::size_t>(s.nlev);
@@ -134,44 +137,33 @@ StateSection parseState(const std::vector<char>& buf, const std::string& path) {
   s.phi = r.doubles(nc * (lev + 1));
   s.tracers.reserve(static_cast<std::size_t>(s.ntracers));
   for (std::int32_t t = 0; t < s.ntracers; ++t) s.tracers.push_back(r.doubles(nc * lev));
-  r.finish();
   return s;
 }
 
-std::vector<char> serializeLand(const std::vector<double>& tskin) {
-  Writer w;
+void serializeLand(Writer& w, const std::vector<double>& tskin) {
   w.pod(static_cast<std::int64_t>(tskin.size()));
   w.doubles(tskin);
-  return std::move(w.buf);
 }
 
-std::vector<double> parseLand(const std::vector<char>& buf, const std::string& path) {
-  Reader r(buf, SectionId::kLand, path);
+std::vector<double> parseLand(Reader& r) {
   const auto n = r.pod<std::int64_t>();
-  if (n < 0) throw std::runtime_error("snapshot: negative shape in section LAND in " + path);
-  auto v = r.doubles(static_cast<std::size_t>(n));
-  r.finish();
-  return v;
+  requireNonNegative(r, n >= 0);
+  return r.doubles(static_cast<std::size_t>(n));
 }
 
-std::vector<char> serializeClock(const ClockSection& c) {
-  Writer w;
+void serializeClock(Writer& w, const ClockSection& c) {
   w.pod(c.sim_seconds);
   w.pod(c.dyn_steps);
-  return std::move(w.buf);
 }
 
-ClockSection parseClock(const std::vector<char>& buf, const std::string& path) {
-  Reader r(buf, SectionId::kClock, path);
+ClockSection parseClock(Reader& r) {
   ClockSection c;
   c.sim_seconds = r.pod<double>();
   c.dyn_steps = r.pod<std::int64_t>();
-  r.finish();
   return c;
 }
 
-std::vector<char> serializeDiag(const DiagSection& d) {
-  Writer w;
+void serializeDiag(Writer& w, const DiagSection& d) {
   w.pod(d.ncells);
   w.pod(d.nedges);
   w.pod(d.nlev);
@@ -179,42 +171,48 @@ std::vector<char> serializeDiag(const DiagSection& d) {
   w.doubles(d.acc_flux);
   w.doubles(d.delp_at_tracer_start);
   w.doubles(d.precip_accum);
-  return std::move(w.buf);
 }
 
-DiagSection parseDiag(const std::vector<char>& buf, const std::string& path) {
-  Reader r(buf, SectionId::kDiag, path);
+DiagSection parseDiag(Reader& r) {
   DiagSection d;
   d.ncells = r.pod<std::int64_t>();
   d.nedges = r.pod<std::int64_t>();
   d.nlev = r.pod<std::int32_t>();
   d.acc_steps = r.pod<std::int32_t>();
-  if (d.ncells < 0 || d.nedges < 0 || d.nlev < 0) {
-    throw std::runtime_error("snapshot: negative shape in section DIAG in " + path);
-  }
+  requireNonNegative(r, d.ncells >= 0 && d.nedges >= 0 && d.nlev >= 0);
   const std::size_t nc = static_cast<std::size_t>(d.ncells);
   const std::size_t ne = static_cast<std::size_t>(d.nedges);
   const std::size_t lev = static_cast<std::size_t>(d.nlev);
   d.acc_flux = r.doubles(ne * lev);
   d.delp_at_tracer_start = r.doubles(nc * lev);
   d.precip_accum = r.doubles(nc);
-  r.finish();
   return d;
 }
 
-std::vector<char> serializeMl(const MlWeightsSection& m) {
-  Writer w;
+void serializeMember(Writer& w, const MemberSection& m) {
+  serializeState(w, m.state);
+  serializeLand(w, m.land);
+  serializeDiag(w, m.diag);
+}
+
+MemberSection parseMember(Reader& r) {
+  MemberSection m;
+  m.state = parseState(r);
+  m.land = parseLand(r);
+  m.diag = parseDiag(r);
+  return m;
+}
+
+void serializeMl(Writer& w, const MlWeightsSection& m) {
   w.pod(m.q1q2_fingerprint);
   w.pod(m.rad_fingerprint);
   w.pod(m.q1q2_bf16_version);
   w.pod(m.q1q2_int8_version);
   w.pod(m.rad_bf16_version);
   w.pod(m.rad_int8_version);
-  return std::move(w.buf);
 }
 
-MlWeightsSection parseMl(const std::vector<char>& buf, const std::string& path) {
-  Reader r(buf, SectionId::kMlWeights, path);
+MlWeightsSection parseMl(Reader& r) {
   MlWeightsSection m;
   m.q1q2_fingerprint = r.pod<std::uint64_t>();
   m.rad_fingerprint = r.pod<std::uint64_t>();
@@ -222,12 +220,10 @@ MlWeightsSection parseMl(const std::vector<char>& buf, const std::string& path) 
   m.q1q2_int8_version = r.pod<std::uint64_t>();
   m.rad_bf16_version = r.pod<std::uint64_t>();
   m.rad_int8_version = r.pod<std::uint64_t>();
-  r.finish();
   return m;
 }
 
-std::vector<char> serializeConfig(const ConfigSection& c) {
-  Writer w;
+void serializeConfig(Writer& w, const ConfigSection& c) {
   w.pod(c.grid_level);
   w.pod(c.writer_nranks);
   w.pod(c.nlev);
@@ -237,11 +233,9 @@ std::vector<char> serializeConfig(const ConfigSection& c) {
   w.pod(c.dt);
   w.pod(c.ns_single);
   w.pod(c.partition_fingerprint);
-  return std::move(w.buf);
 }
 
-ConfigSection parseConfig(const std::vector<char>& buf, const std::string& path) {
-  Reader r(buf, SectionId::kConfig, path);
+ConfigSection parseConfig(Reader& r) {
   ConfigSection c;
   c.grid_level = r.pod<std::int32_t>();
   c.writer_nranks = r.pod<std::int32_t>();
@@ -252,7 +246,6 @@ ConfigSection parseConfig(const std::vector<char>& buf, const std::string& path)
   c.dt = r.pod<double>();
   c.ns_single = r.pod<std::uint8_t>();
   c.partition_fingerprint = r.pod<std::uint64_t>();
-  r.finish();
   return c;
 }
 
@@ -370,6 +363,7 @@ const char* sectionName(SectionId id) {
     case SectionId::kDiag: return "DIAG";
     case SectionId::kMlWeights: return "MLWT";
     case SectionId::kConfig: return "CONFIG";
+    case SectionId::kMember: return "MEMBER";
   }
   return "UNKNOWN";
 }
@@ -439,12 +433,18 @@ dycore::State StateSection::toState(const grid::HexMesh& mesh) const {
 void Snapshot::write(const std::string& path) const {
   // Serialize every present section.
   std::vector<std::pair<SectionId, std::vector<char>>> parts;
-  if (state) parts.emplace_back(SectionId::kState, serializeState(*state));
-  if (land) parts.emplace_back(SectionId::kLand, serializeLand(*land));
-  if (clock) parts.emplace_back(SectionId::kClock, serializeClock(*clock));
-  if (diag) parts.emplace_back(SectionId::kDiag, serializeDiag(*diag));
-  if (ml) parts.emplace_back(SectionId::kMlWeights, serializeMl(*ml));
-  if (config) parts.emplace_back(SectionId::kConfig, serializeConfig(*config));
+  const auto add = [&](SectionId id, auto serialize, const auto& section) {
+    Writer w;
+    serialize(w, section);
+    parts.emplace_back(id, std::move(w.buf));
+  };
+  if (state) add(SectionId::kState, serializeState, *state);
+  if (land) add(SectionId::kLand, serializeLand, *land);
+  if (clock) add(SectionId::kClock, serializeClock, *clock);
+  if (diag) add(SectionId::kDiag, serializeDiag, *diag);
+  for (const MemberSection& m : members) add(SectionId::kMember, serializeMember, m);
+  if (ml) add(SectionId::kMlWeights, serializeMl, *ml);
+  if (config) add(SectionId::kConfig, serializeConfig, *config);
 
   Writer out;
   out.pod(kMagic);
@@ -531,18 +531,21 @@ Snapshot Snapshot::read(const std::string& path) {
   Snapshot snap;
   for (const SnapshotInfo::Entry& e : info.sections) {
     const std::vector<char> buf = sectionPayload(file, e, path);
+    Reader r(buf, e.id, path);
     switch (e.id) {
-      case SectionId::kState: snap.state = parseState(buf, path); break;
-      case SectionId::kLand: snap.land = parseLand(buf, path); break;
-      case SectionId::kClock: snap.clock = parseClock(buf, path); break;
-      case SectionId::kDiag: snap.diag = parseDiag(buf, path); break;
-      case SectionId::kMlWeights: snap.ml = parseMl(buf, path); break;
-      case SectionId::kConfig: snap.config = parseConfig(buf, path); break;
+      case SectionId::kState: snap.state = parseState(r); break;
+      case SectionId::kLand: snap.land = parseLand(r); break;
+      case SectionId::kClock: snap.clock = parseClock(r); break;
+      case SectionId::kDiag: snap.diag = parseDiag(r); break;
+      case SectionId::kMember: snap.members.push_back(parseMember(r)); break;
+      case SectionId::kMlWeights: snap.ml = parseMl(r); break;
+      case SectionId::kConfig: snap.config = parseConfig(r); break;
       default:
         // Unknown sections are skipped (forward-compatible readers), but
         // their CRC was still validated above.
-        break;
+        continue;
     }
+    r.finish();
   }
   return snap;
 }

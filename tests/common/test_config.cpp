@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace grist {
 namespace {
 
@@ -49,6 +52,53 @@ TEST(Config, BooleanSpellings) {
   EXPECT_FALSE(cfg.getBool("b", true));
   EXPECT_TRUE(cfg.getBool("c", false));
   EXPECT_FALSE(cfg.getBool("d", true));
+}
+
+TEST(Config, MalformedNumberThrowsNamingKeyAndValue) {
+  const Config cfg = Config::fromString(
+      "grid_level = 3x\nnlev = 20x\ndt_dyn = 300s\nempty =\nfrac = 3.5\n"
+      "huge = 99999999999");
+  const auto expectRejected = [](auto&& get, const char* key, const char* value) {
+    try {
+      get();
+      ADD_FAILURE() << key << " = " << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(key), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("'") + value + "'"), std::string::npos) << what;
+    }
+  };
+  expectRejected([&] { return cfg.getInt("grid_level", 4); }, "grid_level", "3x");
+  expectRejected([&] { return cfg.getInt("nlev", 20); }, "nlev", "20x");
+  expectRejected([&] { return cfg.getDouble("dt_dyn", 300.0); }, "dt_dyn", "300s");
+  expectRejected([&] { return cfg.getInt("empty", 1); }, "empty", "");
+  expectRejected([&] { return cfg.getInt("frac", 1); }, "frac", "3.5");
+  expectRejected([&] { return cfg.getInt("huge", 1); }, "huge", "99999999999");
+}
+
+TEST(Config, WholeNumbersBeforeInlineCommentsParse) {
+  const Config cfg = Config::fromString(
+      "dt_dyn = 300.0   ! seconds\nsteps = 90 ! 6 hours\namp = 1e-3\n"
+      "neg = -4\nhalf = .5");
+  EXPECT_DOUBLE_EQ(cfg.getDouble("dt_dyn", 0.0), 300.0);
+  EXPECT_EQ(cfg.getInt("steps", 0), 90);
+  EXPECT_DOUBLE_EQ(cfg.getDouble("amp", 0.0), 1e-3);
+  EXPECT_EQ(cfg.getInt("neg", 0), -4);
+  EXPECT_DOUBLE_EQ(cfg.getDouble("half", 0.0), 0.5);
+}
+
+TEST(Config, ShippedNamelistsParse) {
+  for (const char* name : {"baroclinic_g4.nml", "typhoon_g5.nml"}) {
+    const Config cfg =
+        Config::fromFile(std::string(GRIST_SOURCE_DIR "/apps/namelists/") + name);
+    EXPECT_GT(cfg.getInt("grid_level", -1), 0) << name;
+    EXPECT_GT(cfg.getInt("nlev", -1), 0) << name;
+    EXPECT_GT(cfg.getDouble("dt_dyn", -1.0), 0.0) << name;
+    EXPECT_GT(cfg.getInt("trac_interval", -1), 0) << name;
+    EXPECT_GT(cfg.getInt("phy_interval", -1), 0) << name;
+    EXPECT_GT(cfg.getInt("steps", -1), 0) << name;
+    EXPECT_GT(cfg.getInt("report_interval", -1), 0) << name;
+  }
 }
 
 } // namespace

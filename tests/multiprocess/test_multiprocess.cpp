@@ -14,7 +14,7 @@
 //
 // CpuShareFleet.* and CpuSharePin.* check each rank's OpenMP team size
 // and, with pinning, its CPU mask against the parent's sched_getaffinity
-// mask.
+// mask; CpuShareFleet also checks each rank's compute/halo-wait split.
 //
 // The headline gate: a one-process-per-rank run over shared memory is
 // BITWISE identical to the in-process threaded pool -- every rank rebuilds
@@ -393,6 +393,25 @@ TEST_P(CpuShareFleet, RankTeamIsItsCpuShare) {
   for (Index r = 0; r < nranks; ++r) {
     EXPECT_EQ(session.rankThreads(r), want) << "rank " << r;
     EXPECT_GT(session.rankStepSeconds(r), 0.0) << "rank " << r;
+  }
+}
+
+TEST_P(CpuShareFleet, ComputeAndWaitSumToStepping) {
+  // Each rank's stepping time splits into its own compute and its blocking
+  // halo wait, so an imbalance taken over compute seconds is not flattened
+  // by every rank waiting for the slowest one.
+  const Index nranks = GetParam();
+  RunSpec spec;
+  spec.nranks = nranks;
+  MpSession session(spec);
+  session.run(2);
+  session.gather();
+  for (Index r = 0; r < nranks; ++r) {
+    const double compute = session.rankComputeSeconds(r);
+    const double wait = session.rankWaitSeconds(r);
+    EXPECT_GE(compute, 0.0) << "rank " << r;
+    EXPECT_GE(wait, 0.0) << "rank " << r;
+    EXPECT_DOUBLE_EQ(compute + wait, session.rankStepSeconds(r)) << "rank " << r;
   }
 }
 
