@@ -33,6 +33,11 @@ class Radiation {
   /// Computes dtdt (radiative heating) and the surface gsw/glw diagnostics
   /// the land model consumes. Adds into out.dtdt; overwrites gsw/glw.
   void run(const PhysicsInput& in, PhysicsOutput& out) const;
+  /// The same into bare fields: adds into dtdt; overwrites gsw/glw. Lets a
+  /// caller keep radiation's results in its own storage without a scratch
+  /// PhysicsOutput.
+  void run(const PhysicsInput& in, Field& dtdt, std::vector<double>& gsw,
+           std::vector<double>& glw) const;
 
   /// FLOP estimate per column (for the efficiency accounting in the
   /// weak-scaling analysis).

@@ -11,6 +11,14 @@ namespace grist::physics {
 
 using parallel::Field;
 
+/// Deepest column the schemes accept: they keep per-column level scratch in
+/// fixed-size stack arrays. Every scheme entry point checks nlev against it.
+inline constexpr int kMaxLevels = 128;
+
+/// Throws std::invalid_argument naming `scheme` and nlev when
+/// nlev > kMaxLevels.
+void checkLevels(const char* scheme, int nlev);
+
 /// Per-column atmospheric inputs, cells x nlev (level 0 = model top).
 struct PhysicsInput {
   int nlev = 0;

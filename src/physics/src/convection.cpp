@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "grist/common/math.hpp"
 #include "grist/physics/saturation.hpp"
@@ -15,6 +14,7 @@ using constants::kLv;
 
 void Convection::run(const PhysicsInput& in, double dt, double grid_dx,
                      PhysicsOutput& out) const {
+  checkLevels("Convection", in.nlev);
   if (!activeAt(grid_dx)) return;  // storm-resolving: convection is explicit
   const int nlev = in.nlev;
 #pragma omp parallel for schedule(static)
@@ -38,24 +38,31 @@ void Convection::run(const PhysicsInput& in, double dt, double grid_dx,
     // moisture removal) -- the standard Betts-Miller positivity rule; a
     // net-moistening adjustment means deep convection does not apply.
     double precip_col = 0.0;  // kg/m^2/s condensate removed
-    double stage_dtdt[128] = {};
-    double stage_dqdt[128] = {};
+    double stage_dtdt[kMaxLevels] = {};
+    double stage_dqdt[kMaxLevels] = {};
+    // Reference temperature: invert theta_e ~ theta*exp(Lq/cpT) assuming
+    // the reference is at rh_reference. The raw fixed point oscillates in
+    // very moist columns (qs feedback), so iterate with damping and keep
+    // the reference inside the physical range. The iteration loop runs
+    // outside the level loop: each level's fixed point is its own chain of
+    // dependent exp/divide latencies, still evaluated in order, and placing
+    // the independent chains side by side lets them overlap.
+    double t_ref[kMaxLevels];
+    for (int k = 0; k < nlev; ++k) t_ref[k] = in.t(c, k);
+    for (int it = 0; it < 8; ++it) {
+      for (int k = 0; k < nlev; ++k) {
+        const double pk = in.pmid(c, k);
+        if (pk < 3.0e4) continue;  // adjustment below 300 hPa only
+        const double qs = saturationMixingRatio(t_ref[k], pk);
+        const double target =
+            theta_e_b * in.exner(c, k) /
+            std::exp(kLv * config_.rh_reference * qs / (kCp * t_ref[k]));
+        t_ref[k] = 0.5 * (t_ref[k] + clamp(target, 150.0, 330.0));
+      }
+    }
     for (int k = 0; k < nlev; ++k) {
       const double pk = in.pmid(c, k);
-      if (pk < 3.0e4) continue;  // adjustment below 300 hPa only
-      // Reference temperature: invert theta_e ~ theta*exp(Lq/cpT) assuming
-      // the reference is at rh_reference. The raw fixed point oscillates in
-      // very moist columns (qs feedback), so iterate with damping and keep
-      // the reference inside the physical range.
-      const double exn = in.exner(c, k);
-      double t_ref = in.t(c, k);
-      for (int it = 0; it < 8; ++it) {
-        const double qs = saturationMixingRatio(t_ref, pk);
-        const double target =
-            theta_e_b * exn /
-            std::exp(kLv * config_.rh_reference * qs / (kCp * t_ref));
-        t_ref = 0.5 * (t_ref + clamp(target, 150.0, 330.0));
-      }
+      if (pk < 3.0e4) continue;
       // Humidity reference: rh_reference of the ENVIRONMENT's saturation
       // value. (Referencing qsat of the warmer adiabat would moisten the
       // free troposphere and violate the precipitation-positivity rule in
@@ -67,7 +74,7 @@ void Convection::run(const PhysicsInput& in, double dt, double grid_dx,
       // (+-30 K/day) so a pathological reference cannot destabilize the
       // coupled model.
       const double cap = 30.0 / 86400.0;
-      stage_dtdt[k] = clamp((t_ref - in.t(c, k)) / config_.tau, -cap, cap);
+      stage_dtdt[k] = clamp((t_ref[k] - in.t(c, k)) / config_.tau, -cap, cap);
       stage_dqdt[k] = (q_ref - in.qv(c, k)) / config_.tau;
       // Moisture removed from the column becomes convective rain.
       precip_col -= stage_dqdt[k] * in.delp(c, k) / kGravity;

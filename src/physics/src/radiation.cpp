@@ -37,10 +37,16 @@ Radiation::Radiation(RadiationConfig config) : config_(config) {
 }
 
 void Radiation::run(const PhysicsInput& in, PhysicsOutput& out) const {
+  run(in, out.dtdt, out.gsw, out.glw);
+}
+
+void Radiation::run(const PhysicsInput& in, Field& dtdt, std::vector<double>& gsw_out,
+                    std::vector<double>& glw_out) const {
+  checkLevels("Radiation", in.nlev);
   const int nlev = in.nlev;
 #pragma omp parallel for schedule(static)
   for (Index c = 0; c < in.ncolumns; ++c) {
-    double heating[128 + 1] = {};  // accumulate, clamp, then commit
+    double heating[kMaxLevels + 1] = {};  // accumulate, clamp, then commit
     // ---- shortwave: direct-beam absorption sweep per band ----
     double gsw = 0.0;
     const double mu = in.coszr[c];
@@ -64,34 +70,36 @@ void Radiation::run(const PhysicsInput& in, PhysicsOutput& out) const {
         gsw += beam * (1.0 - in.albedo[c]);
       }
     }
-    out.gsw[c] = gsw;
+    gsw_out[c] = gsw;
 
     // ---- longwave: emissivity two-sweep per band ----
+    // T^4 and the surface emission do not depend on the band, so they are
+    // computed once per column; each band's emissivities are computed once,
+    // in the downward sweep, and reused by the upward one. sigma stays out
+    // of t4 so eps * kSigmaSB * t4 keeps its (eps * sigma) * T^4 rounding.
+    double t4[kMaxLevels];
+    for (int k = 0; k < nlev; ++k) t4[k] = std::pow(in.t(c, k), 4.0);
+    const double surface_up = kSigmaSB * std::pow(in.tskin[c], 4.0);
     double glw = 0.0;
     for (int b = 0; b < config_.lw_bands; ++b) {
       // Downward sweep: each layer emits eps*sigma*T^4 and transmits the
       // rest; store per-interface downward fluxes.
-      double down[128 + 1];
+      double eps[kMaxLevels];
+      double down[kMaxLevels + 1];
       down[0] = 0.0;
       for (int k = 0; k < nlev; ++k) {
         const double dp = in.delp(c, k);
         const double tau = lw_k_gas_[b] * dp + lw_k_vap_[b] * in.qv(c, k) * dp +
                            lw_k_cld_[b] * in.qc(c, k) * dp;
-        const double eps = 1.0 - std::exp(-tau);
-        const double t4 = std::pow(in.t(c, k), 4.0);
-        down[k + 1] = down[k] * (1.0 - eps) + eps * kSigmaSB * t4;
+        eps[k] = 1.0 - std::exp(-tau);
+        down[k + 1] = down[k] * (1.0 - eps[k]) + eps[k] * kSigmaSB * t4[k];
       }
       glw += lw_weight_[b] * down[nlev];
       // Upward sweep from the surface.
-      double up[128 + 1];
-      up[nlev] = kSigmaSB * std::pow(in.tskin[c], 4.0);
+      double up[kMaxLevels + 1];
+      up[nlev] = surface_up;
       for (int k = nlev - 1; k >= 0; --k) {
-        const double dp = in.delp(c, k);
-        const double tau = lw_k_gas_[b] * dp + lw_k_vap_[b] * in.qv(c, k) * dp +
-                           lw_k_cld_[b] * in.qc(c, k) * dp;
-        const double eps = 1.0 - std::exp(-tau);
-        const double t4 = std::pow(in.t(c, k), 4.0);
-        up[k] = up[k + 1] * (1.0 - eps) + eps * kSigmaSB * t4;
+        up[k] = up[k + 1] * (1.0 - eps[k]) + eps[k] * kSigmaSB * t4[k];
       }
       // Heating from net-flux divergence, weighted by the band fraction.
       for (int k = 0; k < nlev; ++k) {
@@ -101,7 +109,7 @@ void Radiation::run(const PhysicsInput& in, PhysicsOutput& out) const {
             lw_weight_[b] * kGravity * (net_bot - net_top) / (kCp * in.delp(c, k));
       }
     }
-    out.glw[c] = glw;
+    glw_out[c] = glw;
 
     // ---- commit: cap the per-layer net heating and add the stratospheric
     // relaxation (ozone stand-in) above strat_pressure ----
@@ -111,7 +119,7 @@ void Radiation::run(const PhysicsInput& in, PhysicsOutput& out) const {
       if (in.pmid(c, k) < config_.strat_pressure) {
         h += (config_.strat_t - in.t(c, k)) / config_.strat_tau;
       }
-      out.dtdt(c, k) += h;
+      dtdt(c, k) += h;
     }
   }
 }

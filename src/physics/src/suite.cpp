@@ -1,6 +1,7 @@
 #include "grist/physics/suite.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "grist/common/math.hpp"
 #include "grist/common/timer.hpp"
@@ -23,20 +24,23 @@ ConventionalSuite::ConventionalSuite(Index ncolumns, int nlev,
 
 void ConventionalSuite::run(const PhysicsInput& in, double dt, PhysicsOutput& out) {
   const ScopedTimer timer("physics.conventional");
-  if (in.nlev > 128) throw std::invalid_argument("ConventionalSuite: nlev > 128");
+  checkLevels("ConventionalSuite", in.nlev);
+  if (in.ncolumns != cached_rad_heating_.entities() ||
+      in.nlev != cached_rad_heating_.components()) {
+    throw std::invalid_argument("ConventionalSuite: input shape differs from the " +
+                                std::to_string(cached_rad_heating_.entities()) + " x " +
+                                std::to_string(cached_rad_heating_.components()) +
+                                " columns x levels the suite was built for");
+  }
   out.zero();
 
-  // ---- radiation on its own (longer) cadence, cached in between ----
+  // ---- radiation on its own (longer) cadence, cached in between; it adds
+  // its heating straight into the zeroed cache ----
   if (++steps_since_radiation_ >= config_.radiation_interval) {
     steps_since_radiation_ = 0;
-    PhysicsOutput rad_only(in.ncolumns, in.nlev);
-    {
-      const ScopedTimer rt("physics.radiation");
-      radiation_.run(in, rad_only);
-    }
-    cached_rad_heating_ = rad_only.dtdt;
-    cached_gsw_ = rad_only.gsw;
-    cached_glw_ = rad_only.glw;
+    const ScopedTimer rt("physics.radiation");
+    cached_rad_heating_.fill(0);
+    radiation_.run(in, cached_rad_heating_, cached_gsw_, cached_glw_);
   }
 #pragma omp parallel for schedule(static)
   for (Index c = 0; c < in.ncolumns; ++c) {

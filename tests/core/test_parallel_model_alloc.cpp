@@ -5,9 +5,9 @@
 // state block with operator new), for both the overlapped and the lockstep
 // schedule. The same binary guards the warm solo Model: a full
 // lcm(trac, phy) cycle -- dynamics, tracer transport and ML physics steps --
-// must not touch the heap under DP-ML and MIX-ML. (The conventional physics
-// suite is left out: it still allocates in its column physics on every
-// physics step.)
+// must not touch the heap under DP-ML and MIX-ML, and a full
+// lcm(trac, phy * radiation_interval) cycle of the conventional suite
+// (radiation included) must not either under DP-PHY and MIX-PHY.
 //
 // This binary overrides the global allocation operators to count heap
 // traffic, so it is its own test executable (see tests/CMakeLists.txt) --
@@ -159,6 +159,23 @@ class ModelAllocationGuard : public ::testing::Test {
     EXPECT_EQ(allocsDuring([&] { model.run(20); }), 0) << model.schemeName();
   }
 
+  static void expectWarmPhyCycleHeapFree(precision::NsMode ns) {
+    ModelConfig mc;
+    mc.dyn.nlev = 10;
+    mc.dyn.dt = 300.0;
+    mc.dyn.ns = ns;
+    mc.trac_interval = 4;
+    mc.phy_interval = 5;
+    mc.scheme = PhysicsScheme::kConventional;
+    ASSERT_EQ(mc.conventional.radiation_interval, 3);
+    Model model(*mesh_, *trsk_, mc, dycore::initBaroclinicWave(*mesh_, mc.dyn, 3));
+    // One cycle is lcm(trac=4, phy*radiation_interval=15) = 60 steps: 12
+    // physics calls, 4 of which run radiation. The first cycle warms up;
+    // the second hits the same tracer, physics and radiation boundaries.
+    model.run(60);
+    EXPECT_EQ(allocsDuring([&] { model.run(60); }), 0) << model.schemeName();
+  }
+
   static grid::HexMesh* mesh_;
   static grid::TrskWeights* trsk_;
 };
@@ -172,6 +189,14 @@ TEST_F(ModelAllocationGuard, WarmCycleIsHeapFreeDpMl) {
 
 TEST_F(ModelAllocationGuard, WarmCycleIsHeapFreeMixMl) {
   expectWarmCycleHeapFree(precision::NsMode::kSingle);
+}
+
+TEST_F(ModelAllocationGuard, WarmCycleIsHeapFreeDpPhy) {
+  expectWarmPhyCycleHeapFree(precision::NsMode::kDouble);
+}
+
+TEST_F(ModelAllocationGuard, WarmCycleIsHeapFreeMixPhy) {
+  expectWarmPhyCycleHeapFree(precision::NsMode::kSingle);
 }
 
 } // namespace
